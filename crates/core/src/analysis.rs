@@ -2,8 +2,9 @@
 //! about the detected squatting phishing population.
 
 use crate::pipeline::{Detection, PipelineResult};
+use squatphi_crawler::CrawlRecord;
 use squatphi_feeds::{Blacklists, PhishKind};
-use squatphi_squat::SquatType;
+use squatphi_squat::{BrandRegistry, SquatType};
 use squatphi_web::whois::{country_of, registration_year};
 use squatphi_web::{Device, ServeResult, SiteBehavior};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -195,11 +196,20 @@ pub fn blacklist_coverage(result: &PipelineResult) -> (usize, usize, usize, usiz
 }
 
 /// Redirect league table (Tables 3-4): per brand, (domains with
-/// redirects, to-original, to-market, to-other), web profile.
+/// redirects, to-original, to-market, to-other), web profile, most
+/// redirects first. Brands with equal totals come out in brand-id order,
+/// and Tables 3-4 re-sort stably, so their ties are brand-id ordered too.
 pub fn redirect_league(result: &PipelineResult) -> Vec<(String, usize, usize, usize, usize)> {
+    league(&result.crawl, &result.registry)
+}
+
+fn league(
+    crawl: &[CrawlRecord],
+    registry: &BrandRegistry,
+) -> Vec<(String, usize, usize, usize, usize)> {
     use squatphi_crawler::RedirectClass;
-    let mut per_brand: HashMap<usize, (usize, usize, usize, usize)> = HashMap::new();
-    for r in &result.crawl {
+    let mut per_brand: BTreeMap<usize, (usize, usize, usize, usize)> = BTreeMap::new();
+    for r in crawl {
         if r.web.is_none() {
             continue;
         }
@@ -225,8 +235,7 @@ pub fn redirect_league(result: &PipelineResult) -> Vec<(String, usize, usize, us
         .filter(|(_, (total, ..))| *total > 0)
         .map(|(b, (t, o, m, x))| {
             (
-                result
-                    .registry
+                registry
                     .get(b)
                     .map(|br| br.label.clone())
                     .unwrap_or_default(),
@@ -274,6 +283,40 @@ mod tests {
         assert!(shares.windows(2).all(|w| w[1] >= w[0]));
         assert!(accumulated_share(&[]).is_empty());
         assert!(accumulated_share(&[0, 0]).is_empty());
+    }
+
+    #[test]
+    fn redirect_league_breaks_total_ties_by_brand_id() {
+        use squatphi_crawler::{PageCapture, RedirectClass};
+        let registry = BrandRegistry::with_size(6);
+        let record = |brand: usize, web_redirect| CrawlRecord {
+            domain: format!("d{brand}.com"),
+            brand,
+            squat_type: SquatType::Typo,
+            web: Some(PageCapture {
+                final_host: "x.com".into(),
+                html: String::new(),
+                redirects: Vec::new(),
+            }),
+            mobile: None,
+            web_redirect,
+            mobile_redirect: RedirectClass::None,
+        };
+        // Brands 5, 1 and 3 tie on one redirect each; brand 2 leads with two.
+        let crawl = [
+            record(5, RedirectClass::Market),
+            record(1, RedirectClass::Market),
+            record(2, RedirectClass::Market),
+            record(3, RedirectClass::Other),
+            record(2, RedirectClass::Original),
+            record(4, RedirectClass::None),
+        ];
+        let label = |b: usize| registry.get(b).expect("brand in registry").label.clone();
+        let order: Vec<String> = league(&crawl, &registry)
+            .into_iter()
+            .map(|row| row.0)
+            .collect();
+        assert_eq!(order, [label(2), label(1), label(3), label(5)]);
     }
 
     // The pipeline-dependent analyses are covered by the workspace-level

@@ -120,10 +120,14 @@ pub struct AnalysisCache {
     shards: Vec<Mutex<HashMap<u64, CacheEntry>>>,
 }
 
-enum Lookup {
-    Hit(Arc<PageArtifact>),
-    Collision,
-    Miss,
+/// What [`AnalysisCache::insert`] did with a freshly derived artifact.
+enum Inserted {
+    /// Stored it; `displaced` when it evicted a colliding entry (same
+    /// key, different HTML).
+    Fresh { displaced: bool },
+    /// A worker racing on the same page stored an artifact for identical
+    /// HTML first; that one is served instead.
+    Present(Arc<PageArtifact>),
 }
 
 impl AnalysisCache {
@@ -141,22 +145,30 @@ impl AnalysisCache {
         &self.shards[(key as usize) & (self.shards.len() - 1)]
     }
 
-    fn lookup(&self, key: u64, html: &str) -> Lookup {
+    fn lookup(&self, key: u64, html: &str) -> Option<Arc<PageArtifact>> {
         match self.shard(key).lock().get(&key) {
-            Some(e) if &*e.html == html => Lookup::Hit(e.artifact.clone()),
-            Some(_) => Lookup::Collision,
-            None => Lookup::Miss,
+            Some(e) if &*e.html == html => Some(e.artifact.clone()),
+            _ => None,
         }
     }
 
-    fn insert(&self, key: u64, html: &str, artifact: Arc<PageArtifact>) {
-        self.shard(key).lock().insert(
+    /// Stores `artifact` unless an entry for identical HTML is already
+    /// present, so concurrent misses on one page count one miss between
+    /// them, not one each.
+    fn insert(&self, key: u64, html: &str, artifact: Arc<PageArtifact>) -> Inserted {
+        let mut shard = self.shard(key).lock();
+        let displaced = match shard.get(&key) {
+            Some(e) if &*e.html == html => return Inserted::Present(e.artifact.clone()),
+            found => found.is_some(),
+        };
+        shard.insert(
             key,
             CacheEntry {
                 html: html.into(),
                 artifact,
             },
         );
+        Inserted::Fresh { displaced }
     }
 
     /// Number of cached artifacts across all shards.
@@ -399,19 +411,22 @@ impl PageAnalyzer {
             return Arc::new(self.derive(content_key(DEFAULT_CACHE_SEED, html.as_bytes()), html));
         };
         let key = content_key(cache.seed, html.as_bytes());
-        match cache.lookup(key, html) {
-            Lookup::Hit(artifact) => {
-                self.metrics.hits.inc();
-                artifact
-            }
-            found => {
-                if matches!(found, Lookup::Collision) {
+        if let Some(artifact) = cache.lookup(key, html) {
+            self.metrics.hits.inc();
+            return artifact;
+        }
+        let artifact = Arc::new(self.derive(key, html));
+        match cache.insert(key, html, artifact.clone()) {
+            Inserted::Fresh { displaced } => {
+                if displaced {
                     self.metrics.collisions.inc();
                 }
                 self.metrics.misses.inc();
-                let artifact = Arc::new(self.derive(key, html));
-                cache.insert(key, html, artifact.clone());
                 artifact
+            }
+            Inserted::Present(first) => {
+                self.metrics.hits.inc();
+                first
             }
         }
     }

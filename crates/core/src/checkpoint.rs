@@ -1,28 +1,32 @@
-//! Stage checkpointing: crash-safe persistence of scan/crawl/train
-//! outputs so `--resume` replays completed stages from disk with
-//! byte-identical final output.
+//! Durable state: crash-safe persistence of the pipeline's scan/crawl/train
+//! outputs and of the watch daemon's watermark, so `--resume` replays
+//! completed work from disk with byte-identical final output.
 //!
-//! Persistence routes through [`squatphi_durability::DurableStore`]: one
-//! generational, checksummed state per stage (`scan.g<N>.ckpt`,
-//! `crawl.g<N>.ckpt`, `train.g<N>.ckpt`) in the `--checkpoint-dir`, with
-//! the latest two generations kept. The store is bound to a
-//! `config_hash` — a seeded content hash over the canonical
-//! [`SimConfig`] *and* the fault plan (worker threads, the
-//! analysis-cache toggle and the *disk*-fault plan are excluded: all
-//! output-neutral) — so a checkpoint written under another config
+//! Every durable state goes through one [`CheckpointStore`]: a thin
+//! name-keyed layer over [`squatphi_durability::DurableStore`], which owns
+//! atomicity, checksums, generations (`<name>.g<N>.ckpt`, latest two kept)
+//! and damage classification. The store is bound to a config hash — for the
+//! pipeline a seeded content hash over the canonical [`SimConfig`] *and* the
+//! fault plan (worker threads, the analysis-cache toggle and the *disk*-fault
+//! plan are excluded: all output-neutral), for the watch daemon its own
+//! `watch_config_hash` — so a checkpoint written under another config
 //! classifies as **stale** and is silently recomputed (surfaced in the
-//! supervision report's `invalidated_checkpoints`); resuming under a
-//! changed config can never splice incompatible stage outputs together.
+//! supervision report's `invalidated_checkpoints`); resuming under a changed
+//! config can never splice incompatible outputs together.
 //!
 //! Damage is classified, never papered over: a corrupt or torn newest
 //! generation falls back to the previous one ([`Loaded::Recovered`],
 //! surfaced in the supervision report), and a store whose every
 //! generation is damaged is a structured
 //! [`CheckpointError::Unrecoverable`] — state that was durably written
-//! and then lost must not silently recompute. Bodies are the hand-rolled
-//! JSON codecs below; floats round-trip losslessly as `f64::to_bits`
-//! integers, which is what makes resumed runs *byte-identical* rather
-//! than merely close.
+//! and then lost must not silently recompute.
+//!
+//! Bodies are single-line JSON written and read through the workspace's one
+//! codec, [`squatphi_telemetry::Json`]; each state type has one codec used
+//! in both directions ([`SCAN`], [`CRAWL`], [`TRAIN`] here, the watermark in
+//! [`crate::stream`]). Floats round-trip losslessly as `f64::to_bits`
+//! integers, which is what makes resumed runs *byte-identical* rather than
+//! merely close.
 //!
 //! The world, feed and feature extractor are deliberately **not**
 //! checkpointed: they rebuild deterministically from the config, and the
@@ -42,12 +46,14 @@ use squatphi_durability::{
 };
 use squatphi_ml::{Metrics, RandomForest, RocCurve};
 use squatphi_squat::SquatType;
+use squatphi_telemetry::Json;
+use std::net::Ipv4Addr;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Checkpoint format version; bumped on any codec change so old files
-/// invalidate instead of mis-decoding.
+/// Pipeline checkpoint format version; bumped on any codec change so old
+/// files invalidate instead of mis-decoding.
 const VERSION: u64 = 2;
 
 /// Seed of the config-hash content key.
@@ -109,25 +115,14 @@ pub(crate) enum Loaded<T> {
     Recovered(T, String),
 }
 
-/// Maps a store-level failure into the checkpoint error taxonomy.
-pub(crate) fn store_err(e: StoreError) -> CheckpointError {
+fn store_err(e: StoreError) -> CheckpointError {
     match e {
         StoreError::Io { path, message } => CheckpointError::Io { path, message },
     }
 }
 
-/// The write path every durable state in the workspace shares: the real
-/// filesystem, or the same wrapped in a seeded [`FaultVfs`] when a
-/// disk-fault plan is active.
-pub(crate) fn vfs_for(disk_faults: &DiskFaultPlan) -> Arc<dyn Vfs> {
-    if disk_faults.is_none() {
-        Arc::new(RealVfs)
-    } else {
-        Arc::new(FaultVfs::new(Arc::new(RealVfs), *disk_faults))
-    }
-}
-
-/// Canonical config hash binding checkpoints to the run that wrote them.
+/// Canonical config hash binding pipeline checkpoints to the run that
+/// wrote them.
 pub(crate) fn config_hash(config: &SimConfig, faults: &PipelineFaultPlan) -> u64 {
     let canon = format!(
         "v{VERSION}|snap:{},{},{},{}|world:{},{},{},{},{},{},{}|feed:{},{}|brands:{}|benign:{}|cv:{}|seed:{}|faults:{}",
@@ -153,53 +148,69 @@ pub(crate) fn config_hash(config: &SimConfig, faults: &PipelineFaultPlan) -> u64
     content_key(HASH_SEED, canon.as_bytes())
 }
 
-/// One run's checkpoint directory, bound to its config hash. A thin
-/// stage-codec layer over the workspace-wide [`DurableStore`]: the store
+/// One checkpoint directory bound to a config hash: the pipeline stages
+/// and the watch watermark both persist through it. The durable store
 /// owns atomicity, checksums, generations and damage classification;
-/// this type owns only what a stage body *means*.
+/// this type owns the JSON body and maps load outcomes onto [`Loaded`].
 pub(crate) struct CheckpointStore {
     store: DurableStore,
     hash: u64,
 }
 
 impl CheckpointStore {
+    /// Opens `dir` bound to `hash`, on the real filesystem or — when a
+    /// disk-fault plan is active — the same wrapped in a seeded
+    /// [`FaultVfs`].
     pub(crate) fn open(
         dir: &Path,
-        config: &SimConfig,
-        faults: &PipelineFaultPlan,
+        hash: u64,
         disk_faults: &DiskFaultPlan,
     ) -> Result<Self, CheckpointError> {
-        let hash = config_hash(config, faults);
-        let store = DurableStore::open(dir, hash, vfs_for(disk_faults)).map_err(store_err)?;
+        let vfs: Arc<dyn Vfs> = if disk_faults.is_none() {
+            Arc::new(RealVfs)
+        } else {
+            Arc::new(FaultVfs::new(Arc::new(RealVfs), *disk_faults))
+        };
+        let store = DurableStore::open(dir, hash, vfs).map_err(store_err)?;
         Ok(CheckpointStore { store, hash })
     }
 
-    /// The durable-state ledger for this run's checkpoint directory.
+    /// The durable-state ledger for this checkpoint directory.
     pub(crate) fn stats(&self) -> DurabilityStats {
         self.store.stats()
     }
 
-    /// Durably commits one stage body as the next generation.
-    fn save(&self, stage: PipelineStage, body: &str) -> Result<(), CheckpointError> {
+    /// A body object holding the informational header. Freshness is
+    /// enforced by the durable store's own config binding (the config
+    /// hash doubles as the store config, and the format version is folded
+    /// into it), so these fields exist for humans inspecting a
+    /// checkpoint, not for validation.
+    pub(crate) fn header(&self, version: u64) -> Json {
+        let mut body = Json::obj();
+        body.push("version", Json::U64(version))
+            .push("config_hash", Json::U64(self.hash));
+        body
+    }
+
+    /// Durably commits `body` as the next generation of `name`.
+    pub(crate) fn save(&self, name: &str, body: &Json) -> Result<(), CheckpointError> {
         self.store
-            .save(stage.name(), body)
+            .save(name, &body.render_compact())
             .map(|_generation| ())
             .map_err(store_err)
     }
 
-    /// Loads the newest verifiable generation of a stage, decoding the
-    /// JSON body with `decode` (shape failures classify as corrupt and
-    /// fall back to the previous generation).
-    fn load_stage<T>(
+    /// Loads the newest verifiable generation of `name`, decoding its
+    /// body with `decode` (parse or shape failures classify as corrupt
+    /// and fall back to the previous generation).
+    pub(crate) fn load<T>(
         &self,
-        stage: PipelineStage,
-        decode: impl Fn(&json::Value) -> Option<T>,
+        name: &str,
+        decode: impl Fn(&Json) -> Option<T>,
     ) -> Result<Loaded<T>, CheckpointError> {
         let outcome = self
             .store
-            .load_with(stage.name(), |body| {
-                json::parse(body).ok().and_then(|v| decode(&v))
-            })
+            .load_with(name, |body| Json::parse(body).ok().and_then(|v| decode(&v)))
             .map_err(store_err)?;
         Ok(match outcome {
             LoadOutcome::Missing => Loaded::Missing,
@@ -210,7 +221,7 @@ impl CheckpointStore {
             }
             LoadOutcome::Unrecoverable { classes } => {
                 return Err(CheckpointError::Unrecoverable {
-                    name: stage.name().to_string(),
+                    name: name.to_string(),
                     dir: self.store.dir().display().to_string(),
                     detail: render_classes(&classes),
                 })
@@ -218,224 +229,109 @@ impl CheckpointStore {
         })
     }
 
-    /// Informational body header. Freshness is enforced by the durable
-    /// store's own config binding (the config hash doubles as the store
-    /// config, and `VERSION` is folded into it), so these fields exist
-    /// for humans inspecting a checkpoint, not for validation.
-    fn header(&self, stage: PipelineStage) -> String {
-        format!(
-            "\"version\": {VERSION},\n\"config_hash\": {},\n\"stage\": \"{}\"",
-            self.hash,
-            stage.name()
-        )
-    }
-
-    // -- scan ---------------------------------------------------------------
-
-    pub(crate) fn save_scan(
+    /// Checkpoints one pipeline stage's output under the stage's name.
+    pub(crate) fn save_stage<T>(
         &self,
-        outcome: &ScanOutcome,
-        metrics: &ScanMetrics,
+        codec: &StageCodec<T>,
+        value: &T,
     ) -> Result<(), CheckpointError> {
-        let matches = outcome
-            .matches
-            .iter()
-            .map(|m| {
-                let o = m.ip.octets();
-                format!(
-                    "{{\"domain\": \"{}\", \"ip\": [{}, {}, {}, {}], \"brand\": {}, \"type\": \"{}\"}}",
-                    esc(m.domain.as_str()),
-                    o[0],
-                    o[1],
-                    o[2],
-                    o[3],
-                    m.brand,
-                    m.squat_type.name()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let workers = metrics
-            .workers
-            .iter()
-            .map(|w| {
-                format!(
-                    "{{\"records\": {}, \"invalid\": {}, \"blocks\": {}, \"probes\": {}, \"deep_probes\": {}, \"allocations_avoided\": {}, \"elapsed_nanos\": {}}}",
-                    w.records,
-                    w.invalid,
-                    w.blocks,
-                    w.probes,
-                    w.deep_probes,
-                    w.allocations_avoided,
-                    w.elapsed.as_nanos() as u64
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let body = format!(
-            "{{\n{},\n\"scanned\": {},\n\"invalid\": {},\n\"by_type\": [{}],\n\"by_brand\": [{}],\n\"matches\": [\n{}\n],\n\"metrics\": {{\"requested_workers\": {}, \"dedupe_collisions\": {}, \"wall_nanos\": {}, \"workers\": [\n{}\n]}}\n}}\n",
-            self.header(PipelineStage::Scan),
-            outcome.scanned,
-            outcome.invalid,
-            join_usize(&outcome.by_type),
-            join_usize(&outcome.by_brand),
-            matches,
-            metrics.requested_workers,
-            metrics.dedupe_collisions,
-            metrics.wall.as_nanos() as u64,
-            workers,
-        );
-        self.save(PipelineStage::Scan, &body)
+        let name = codec.stage.name();
+        let mut body = self.header(VERSION);
+        body.push("stage", text(name));
+        (codec.encode)(value, &mut body);
+        self.save(name, &body)
     }
 
-    pub(crate) fn load_scan(&self) -> Result<Loaded<(ScanOutcome, ScanMetrics)>, CheckpointError> {
-        self.load_stage(PipelineStage::Scan, decode_scan)
-    }
-
-    // -- crawl --------------------------------------------------------------
-
-    pub(crate) fn save_crawl(
+    /// Loads one pipeline stage's checkpointed output.
+    pub(crate) fn load_stage<T>(
         &self,
-        records: &[CrawlRecord],
-        stats: &CrawlStats,
-        truncated: u64,
-    ) -> Result<(), CheckpointError> {
-        let t = &stats.transport;
-        let arr4 = |a: &[u64; 4]| a.iter().map(u64::to_string).collect::<Vec<_>>().join(", ");
-        let transport = format!(
-            "{{\"attempts\": {}, \"successes\": {}, \"retries\": {}, \"backoff_ns\": {}, \"errors\": [{}], \"injected\": [{}], \"breaker_trips\": {}, \"breaker_short_circuits\": {}, \"fetch_deadline_hits\": {}, \"crawl_deadline_hits\": {}}}",
-            t.attempts,
-            t.successes,
-            t.retries,
-            t.backoff_ns,
-            arr4(&t.errors),
-            arr4(&t.injected),
-            t.breaker_trips,
-            t.breaker_short_circuits,
-            t.fetch_deadline_hits,
-            t.crawl_deadline_hits,
-        );
-        let capture = |c: &Option<PageCapture>| match c {
-            None => "null".to_string(),
-            Some(p) => format!(
-                "{{\"final_host\": \"{}\", \"html\": \"{}\", \"redirects\": [{}]}}",
-                esc(&p.final_host),
-                esc(&p.html),
-                p.redirects
-                    .iter()
-                    .map(|r| format!("\"{}\"", esc(r)))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            ),
-        };
-        let records_json = records
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"domain\": \"{}\", \"brand\": {}, \"type\": \"{}\", \"web\": {}, \"mobile\": {}, \"web_redirect\": \"{}\", \"mobile_redirect\": \"{}\"}}",
-                    esc(&r.domain),
-                    r.brand,
-                    r.squat_type.name(),
-                    capture(&r.web),
-                    capture(&r.mobile),
-                    redirect_name(r.web_redirect),
-                    redirect_name(r.mobile_redirect),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let body = format!(
-            "{{\n{},\n\"truncated\": {},\n\"transport\": {},\n\"records\": [\n{}\n]\n}}\n",
-            self.header(PipelineStage::Crawl),
-            truncated,
-            transport,
-            records_json,
-        );
-        self.save(PipelineStage::Crawl, &body)
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn load_crawl(
-        &self,
-    ) -> Result<Loaded<(Vec<CrawlRecord>, CrawlStats, u64)>, CheckpointError> {
-        self.load_stage(PipelineStage::Crawl, decode_crawl)
-    }
-
-    // -- train --------------------------------------------------------------
-
-    pub(crate) fn save_train(
-        &self,
-        split: (usize, usize),
-        eval: &EvalReport,
-        model: &RandomForest,
-    ) -> Result<(), CheckpointError> {
-        let models = eval
-            .models
-            .iter()
-            .map(|m| {
-                let roc = m
-                    .roc
-                    .points
-                    .iter()
-                    .map(|(x, y)| format!("[{}, {}]", x.to_bits(), y.to_bits()))
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!(
-                    "{{\"name\": \"{}\", \"fpr\": {}, \"fnr\": {}, \"auc\": {}, \"accuracy\": {}, \"roc\": [{}]}}",
-                    m.name,
-                    m.metrics.fpr.to_bits(),
-                    m.metrics.fnr.to_bits(),
-                    m.metrics.auc.to_bits(),
-                    m.metrics.accuracy.to_bits(),
-                    roc,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let body = format!(
-            "{{\n{},\n\"train_split\": [{}, {}],\n\"train_shape\": [{}, {}],\n\"models\": [\n{}\n],\n\"model\": \"{}\"\n}}\n",
-            self.header(PipelineStage::Train),
-            split.0,
-            split.1,
-            eval.train_shape.0,
-            eval.train_shape.1,
-            models,
-            esc(&model.encode()),
-        );
-        self.save(PipelineStage::Train, &body)
-    }
-
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn load_train(
-        &self,
-    ) -> Result<Loaded<((usize, usize), EvalReport, RandomForest)>, CheckpointError> {
-        self.load_stage(PipelineStage::Train, decode_train)
+        codec: &StageCodec<T>,
+    ) -> Result<Loaded<T>, CheckpointError> {
+        self.load(codec.stage.name(), codec.decode)
     }
 }
 
-/// JSON string escaper shared by the checkpoint writers (the stream
-/// module's watermark store reuses it).
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// How one pipeline stage's output is written into (after the header)
+/// and read back from its checkpoint body.
+pub(crate) struct StageCodec<T> {
+    pub(crate) stage: PipelineStage,
+    encode: fn(&T, &mut Json),
+    decode: fn(&Json) -> Option<T>,
 }
 
-fn join_usize(a: &[usize]) -> String {
-    a.iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(", ")
+/// Scan stage output.
+pub(crate) type ScanState = (ScanOutcome, ScanMetrics);
+/// Crawl stage output: records, stats and the number of records the
+/// fault plan truncated (replayed into the supervisor on resume).
+pub(crate) type CrawlState = (Vec<CrawlRecord>, CrawlStats, u64);
+/// Train stage output: the (phishing, benign) split, the evaluation and
+/// the deployed model.
+pub(crate) type TrainState = ((usize, usize), EvalReport, RandomForest);
+
+pub(crate) const SCAN: StageCodec<ScanState> = StageCodec {
+    stage: PipelineStage::Scan,
+    encode: encode_scan,
+    decode: decode_scan,
+};
+
+pub(crate) const CRAWL: StageCodec<CrawlState> = StageCodec {
+    stage: PipelineStage::Crawl,
+    encode: encode_crawl,
+    decode: decode_crawl,
+};
+
+pub(crate) const TRAIN: StageCodec<TrainState> = StageCodec {
+    stage: PipelineStage::Train,
+    encode: encode_train,
+    decode: decode_train,
+};
+
+// ---------------------------------------------------------------------------
+// Shared leaf codecs (decode failures → None → the generation is corrupt)
+// ---------------------------------------------------------------------------
+
+pub(crate) fn text(s: &str) -> Json {
+    Json::Str(s.to_string())
+}
+
+fn usizes(xs: &[usize]) -> Json {
+    Json::Arr(xs.iter().map(|&x| Json::U64(x as u64)).collect())
+}
+
+fn decode_usizes(v: &Json) -> Option<Vec<usize>> {
+    v.as_arr()?.iter().map(Json::as_usize).collect()
+}
+
+fn u64s(xs: &[u64]) -> Json {
+    Json::Arr(xs.iter().map(|&x| Json::U64(x)).collect())
+}
+
+fn decode_u64x4(v: &Json) -> Option<[u64; 4]> {
+    let xs: Vec<u64> = v
+        .as_arr()?
+        .iter()
+        .map(Json::as_u64)
+        .collect::<Option<_>>()?;
+    xs.try_into().ok()
+}
+
+pub(crate) fn ip_json(ip: Ipv4Addr) -> Json {
+    Json::Arr(ip.octets().iter().map(|&o| Json::U64(o.into())).collect())
+}
+
+pub(crate) fn decode_ip(v: &Json) -> Option<Ipv4Addr> {
+    let octets: Vec<u8> = v
+        .as_arr()?
+        .iter()
+        .map(|o| u8::try_from(o.as_u64()?).ok())
+        .collect::<Option<_>>()?;
+    let octets: [u8; 4] = octets.try_into().ok()?;
+    Some(Ipv4Addr::from(octets))
+}
+
+pub(crate) fn decode_squat_type(v: &Json) -> Option<SquatType> {
+    let name = v.as_str()?;
+    SquatType::ALL.into_iter().find(|t| t.name() == name)
 }
 
 fn redirect_name(r: RedirectClass) -> &'static str {
@@ -447,8 +343,8 @@ fn redirect_name(r: RedirectClass) -> &'static str {
     }
 }
 
-fn parse_redirect(s: &str) -> Option<RedirectClass> {
-    Some(match s {
+fn decode_redirect(v: &Json) -> Option<RedirectClass> {
+    Some(match v.as_str()? {
         "None" => RedirectClass::None,
         "Original" => RedirectClass::Original,
         "Market" => RedirectClass::Market,
@@ -457,50 +353,93 @@ fn parse_redirect(s: &str) -> Option<RedirectClass> {
     })
 }
 
-pub(crate) fn parse_squat_type(s: &str) -> Option<SquatType> {
-    SquatType::ALL.into_iter().find(|t| t.name() == s)
+/// The transport-stack counters, as the crawl checkpoint and the watch
+/// watermark both store them.
+pub(crate) fn transport_json(t: &TransportSnapshot) -> Json {
+    let mut obj = Json::obj();
+    obj.push("attempts", Json::U64(t.attempts))
+        .push("successes", Json::U64(t.successes))
+        .push("retries", Json::U64(t.retries))
+        .push("backoff_ns", Json::U64(t.backoff_ns))
+        .push("errors", u64s(&t.errors))
+        .push("injected", u64s(&t.injected))
+        .push("breaker_trips", Json::U64(t.breaker_trips))
+        .push(
+            "breaker_short_circuits",
+            Json::U64(t.breaker_short_circuits),
+        )
+        .push("fetch_deadline_hits", Json::U64(t.fetch_deadline_hits))
+        .push("crawl_deadline_hits", Json::U64(t.crawl_deadline_hits));
+    obj
+}
+
+pub(crate) fn decode_transport(v: &Json) -> Option<TransportSnapshot> {
+    let n = |key: &str| v.get(key)?.as_u64();
+    Some(TransportSnapshot {
+        attempts: n("attempts")?,
+        successes: n("successes")?,
+        retries: n("retries")?,
+        backoff_ns: n("backoff_ns")?,
+        errors: decode_u64x4(v.get("errors")?)?,
+        injected: decode_u64x4(v.get("injected")?)?,
+        breaker_trips: n("breaker_trips")?,
+        breaker_short_circuits: n("breaker_short_circuits")?,
+        fetch_deadline_hits: n("fetch_deadline_hits")?,
+        crawl_deadline_hits: n("crawl_deadline_hits")?,
+    })
 }
 
 // ---------------------------------------------------------------------------
-// Decoders (shape failures → None → Loaded::Stale)
+// Stage codecs
 // ---------------------------------------------------------------------------
 
-fn decode_scan(v: &json::Value) -> Option<(ScanOutcome, ScanMetrics)> {
-    let scanned = v.get("scanned")?.as_usize()?;
-    let invalid = v.get("invalid")?.as_usize()?;
-    let by_type_vec: Vec<usize> = v
-        .get("by_type")?
-        .as_arr()?
-        .iter()
-        .map(json::Value::as_usize)
-        .collect::<Option<_>>()?;
-    let by_type: [usize; 5] = by_type_vec.try_into().ok()?;
-    let by_brand: Vec<usize> = v
-        .get("by_brand")?
-        .as_arr()?
-        .iter()
-        .map(json::Value::as_usize)
-        .collect::<Option<_>>()?;
+fn encode_scan((outcome, metrics): &ScanState, body: &mut Json) {
+    let matches = outcome.matches.iter().map(|m| {
+        let mut obj = Json::obj();
+        obj.push("domain", text(m.domain.as_str()))
+            .push("ip", ip_json(m.ip))
+            .push("brand", Json::U64(m.brand as u64))
+            .push("type", text(m.squat_type.name()));
+        obj
+    });
+    let workers = metrics.workers.iter().map(|w| {
+        let mut obj = Json::obj();
+        obj.push("records", Json::U64(w.records as u64))
+            .push("invalid", Json::U64(w.invalid as u64))
+            .push("blocks", Json::U64(w.blocks as u64))
+            .push("probes", Json::U64(w.probes))
+            .push("deep_probes", Json::U64(w.deep_probes))
+            .push("allocations_avoided", Json::U64(w.allocations_avoided))
+            .push("elapsed_nanos", Json::U64(w.elapsed.as_nanos() as u64));
+        obj
+    });
+    let mut met = Json::obj();
+    met.push(
+        "requested_workers",
+        Json::U64(metrics.requested_workers as u64),
+    )
+    .push(
+        "dedupe_collisions",
+        Json::U64(metrics.dedupe_collisions as u64),
+    )
+    .push("wall_nanos", Json::U64(metrics.wall.as_nanos() as u64))
+    .push("workers", Json::Arr(workers.collect()));
+    body.push("scanned", Json::U64(outcome.scanned as u64))
+        .push("invalid", Json::U64(outcome.invalid as u64))
+        .push("by_type", usizes(&outcome.by_type))
+        .push("by_brand", usizes(&outcome.by_brand))
+        .push("matches", Json::Arr(matches.collect()))
+        .push("metrics", met);
+}
+
+fn decode_scan(v: &Json) -> Option<ScanState> {
     let mut matches = Vec::new();
     for m in v.get("matches")?.as_arr()? {
-        let domain = DomainName::parse(m.get("domain")?.as_str()?).ok()?;
-        let ip: Vec<u64> = m
-            .get("ip")?
-            .as_arr()?
-            .iter()
-            .map(json::Value::as_u64)
-            .collect::<Option<_>>()?;
-        let [a, b, c, d]: [u64; 4] = ip.try_into().ok()?;
         matches.push(SquatRecord {
-            domain,
-            ip: std::net::Ipv4Addr::new(
-                u8::try_from(a).ok()?,
-                u8::try_from(b).ok()?,
-                u8::try_from(c).ok()?,
-                u8::try_from(d).ok()?,
-            ),
+            domain: DomainName::parse(m.get("domain")?.as_str()?).ok()?,
+            ip: decode_ip(m.get("ip")?)?,
             brand: m.get("brand")?.as_usize()?,
-            squat_type: parse_squat_type(m.get("type")?.as_str()?)?,
+            squat_type: decode_squat_type(m.get("type")?)?,
         });
     }
     let met = v.get("metrics")?;
@@ -519,10 +458,10 @@ fn decode_scan(v: &json::Value) -> Option<(ScanOutcome, ScanMetrics)> {
     Some((
         ScanOutcome {
             matches,
-            by_type,
-            by_brand,
-            scanned,
-            invalid,
+            by_type: decode_usizes(v.get("by_type")?)?.try_into().ok()?,
+            by_brand: decode_usizes(v.get("by_brand")?)?,
+            scanned: v.get("scanned")?.as_usize()?,
+            invalid: v.get("invalid")?.as_usize()?,
         },
         ScanMetrics {
             workers,
@@ -533,78 +472,103 @@ fn decode_scan(v: &json::Value) -> Option<(ScanOutcome, ScanMetrics)> {
     ))
 }
 
-fn decode_transport(v: &json::Value) -> Option<TransportSnapshot> {
-    let arr4 = |key: &str| -> Option<[u64; 4]> {
-        let vals: Vec<u64> = v
-            .get(key)?
-            .as_arr()?
-            .iter()
-            .map(json::Value::as_u64)
-            .collect::<Option<_>>()?;
-        vals.try_into().ok()
-    };
-    Some(TransportSnapshot {
-        attempts: v.get("attempts")?.as_u64()?,
-        successes: v.get("successes")?.as_u64()?,
-        retries: v.get("retries")?.as_u64()?,
-        backoff_ns: v.get("backoff_ns")?.as_u64()?,
-        errors: arr4("errors")?,
-        injected: arr4("injected")?,
-        breaker_trips: v.get("breaker_trips")?.as_u64()?,
-        breaker_short_circuits: v.get("breaker_short_circuits")?.as_u64()?,
-        fetch_deadline_hits: v.get("fetch_deadline_hits")?.as_u64()?,
-        crawl_deadline_hits: v.get("crawl_deadline_hits")?.as_u64()?,
-    })
+fn capture_json(c: &Option<PageCapture>) -> Json {
+    let Some(p) = c else { return Json::Null };
+    let mut obj = Json::obj();
+    obj.push("final_host", text(&p.final_host))
+        .push("html", text(&p.html))
+        .push(
+            "redirects",
+            Json::Arr(p.redirects.iter().map(|r| text(r)).collect()),
+        );
+    obj
 }
 
-fn decode_crawl(v: &json::Value) -> Option<(Vec<CrawlRecord>, CrawlStats, u64)> {
-    let truncated = v.get("truncated")?.as_u64()?;
-    let transport = decode_transport(v.get("transport")?)?;
-    let capture = |c: &json::Value| -> Option<Option<PageCapture>> {
-        if c.is_null() {
-            return Some(None);
-        }
-        Some(Some(PageCapture {
-            final_host: c.get("final_host")?.as_str()?.to_string(),
-            html: c.get("html")?.as_str()?.to_string(),
-            redirects: c
-                .get("redirects")?
-                .as_arr()?
-                .iter()
-                .map(|r| r.as_str().map(str::to_string))
-                .collect::<Option<_>>()?,
-        }))
-    };
+fn decode_capture(c: &Json) -> Option<Option<PageCapture>> {
+    if c.is_null() {
+        return Some(None);
+    }
+    Some(Some(PageCapture {
+        final_host: c.get("final_host")?.as_str()?.to_string(),
+        html: c.get("html")?.as_str()?.to_string(),
+        redirects: c
+            .get("redirects")?
+            .as_arr()?
+            .iter()
+            .map(|r| r.as_str().map(str::to_string))
+            .collect::<Option<_>>()?,
+    }))
+}
+
+fn encode_crawl((records, stats, truncated): &CrawlState, body: &mut Json) {
+    let records = records.iter().map(|r| {
+        let mut obj = Json::obj();
+        obj.push("domain", text(&r.domain))
+            .push("brand", Json::U64(r.brand as u64))
+            .push("type", text(r.squat_type.name()))
+            .push("web", capture_json(&r.web))
+            .push("mobile", capture_json(&r.mobile))
+            .push("web_redirect", text(redirect_name(r.web_redirect)))
+            .push("mobile_redirect", text(redirect_name(r.mobile_redirect)));
+        obj
+    });
+    body.push("truncated", Json::U64(*truncated))
+        .push("transport", transport_json(&stats.transport))
+        .push("records", Json::Arr(records.collect()));
+}
+
+fn decode_crawl(v: &Json) -> Option<CrawlState> {
     let mut records = Vec::new();
     for r in v.get("records")?.as_arr()? {
         records.push(CrawlRecord {
             domain: r.get("domain")?.as_str()?.to_string(),
             brand: r.get("brand")?.as_usize()?,
-            squat_type: parse_squat_type(r.get("type")?.as_str()?)?,
-            web: capture(r.get("web")?)?,
-            mobile: capture(r.get("mobile")?)?,
-            web_redirect: parse_redirect(r.get("web_redirect")?.as_str()?)?,
-            mobile_redirect: parse_redirect(r.get("mobile_redirect")?.as_str()?)?,
+            squat_type: decode_squat_type(r.get("type")?)?,
+            web: decode_capture(r.get("web")?)?,
+            mobile: decode_capture(r.get("mobile")?)?,
+            web_redirect: decode_redirect(r.get("web_redirect")?)?,
+            mobile_redirect: decode_redirect(r.get("mobile_redirect")?)?,
         });
     }
     // Everything except the transport counters re-aggregates from the
     // records themselves; the snapshot is the only state the crawl stage
     // owns exclusively.
     let mut stats = CrawlStats::from_records(&records);
-    stats.transport = transport;
-    Some((records, stats, truncated))
+    stats.transport = decode_transport(v.get("transport")?)?;
+    Some((records, stats, v.get("truncated")?.as_u64()?))
 }
 
-fn decode_train(v: &json::Value) -> Option<((usize, usize), EvalReport, RandomForest)> {
+fn encode_train((split, eval, model): &TrainState, body: &mut Json) {
+    let bits = |x: f64| Json::U64(x.to_bits());
+    let models = eval.models.iter().map(|m| {
+        let roc = m
+            .roc
+            .points
+            .iter()
+            .map(|&(x, y)| Json::Arr(vec![bits(x), bits(y)]));
+        let mut obj = Json::obj();
+        obj.push("name", text(m.name))
+            .push("fpr", bits(m.metrics.fpr))
+            .push("fnr", bits(m.metrics.fnr))
+            .push("auc", bits(m.metrics.auc))
+            .push("accuracy", bits(m.metrics.accuracy))
+            .push("roc", Json::Arr(roc.collect()));
+        obj
+    });
+    body.push("train_split", usizes(&[split.0, split.1]))
+        .push(
+            "train_shape",
+            usizes(&[eval.train_shape.0, eval.train_shape.1]),
+        )
+        .push("models", Json::Arr(models.collect()))
+        .push("model", text(&model.encode()));
+}
+
+fn decode_train(v: &Json) -> Option<TrainState> {
     let pair = |key: &str| -> Option<(usize, usize)> {
-        let arr = v.get(key)?.as_arr()?;
-        match arr {
-            [a, b] => Some((a.as_usize()?, b.as_usize()?)),
-            _ => None,
-        }
+        let [a, b]: [usize; 2] = decode_usizes(v.get(key)?)?.try_into().ok()?;
+        Some((a, b))
     };
-    let split = pair("train_split")?;
-    let train_shape = pair("train_shape")?;
     let mut models = Vec::new();
     for m in v.get("models")?.as_arr()? {
         let name = match m.get("name")?.as_str()? {
@@ -613,279 +577,31 @@ fn decode_train(v: &json::Value) -> Option<((usize, usize), EvalReport, RandomFo
             "RandomForest" => "RandomForest",
             _ => return None,
         };
-        let bits = |key: &str| -> Option<f64> { Some(f64::from_bits(m.get(key)?.as_u64()?)) };
+        let bits = |x: &Json| Some(f64::from_bits(x.as_u64()?));
         let mut points = Vec::new();
         for p in m.get("roc")?.as_arr()? {
             match p.as_arr()? {
-                [x, y] => points.push((f64::from_bits(x.as_u64()?), f64::from_bits(y.as_u64()?))),
+                [x, y] => points.push((bits(x)?, bits(y)?)),
                 _ => return None,
             }
         }
         models.push(ModelEval {
             name,
             metrics: Metrics {
-                fpr: bits("fpr")?,
-                fnr: bits("fnr")?,
-                auc: bits("auc")?,
-                accuracy: bits("accuracy")?,
+                fpr: bits(m.get("fpr")?)?,
+                fnr: bits(m.get("fnr")?)?,
+                auc: bits(m.get("auc")?)?,
+                accuracy: bits(m.get("accuracy")?)?,
             },
             roc: RocCurve { points },
         });
     }
+    let eval = EvalReport {
+        models,
+        train_shape: pair("train_shape")?,
+    };
     let model = RandomForest::decode(v.get("model")?.as_str()?).ok()?;
-    Some((
-        split,
-        EvalReport {
-            models,
-            train_shape,
-        },
-        model,
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// Minimal JSON value parser (read side of the hand-rolled writers above).
-// The workspace builds without registry access, so no serde: this parser
-// covers exactly the JSON subset the checkpoint writers emit — objects,
-// arrays, strings with escapes, integer/float numbers, booleans, null.
-// ---------------------------------------------------------------------------
-
-pub(crate) mod json {
-    /// A parsed JSON value. Numbers keep their raw text so u64 bit
-    /// patterns round-trip exactly (an f64 intermediate would corrupt
-    /// them above 2^53).
-    #[derive(Debug, Clone, PartialEq)]
-    pub(crate) enum Value {
-        Null,
-        Bool(bool),
-        Num(String),
-        Str(String),
-        Arr(Vec<Value>),
-        Obj(Vec<(String, Value)>),
-    }
-
-    impl Value {
-        pub(crate) fn get(&self, key: &str) -> Option<&Value> {
-            match self {
-                Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-                _ => None,
-            }
-        }
-
-        pub(crate) fn as_u64(&self) -> Option<u64> {
-            match self {
-                Value::Num(s) => s.parse().ok(),
-                _ => None,
-            }
-        }
-
-        pub(crate) fn as_usize(&self) -> Option<usize> {
-            match self {
-                Value::Num(s) => s.parse().ok(),
-                _ => None,
-            }
-        }
-
-        pub(crate) fn as_str(&self) -> Option<&str> {
-            match self {
-                Value::Str(s) => Some(s),
-                _ => None,
-            }
-        }
-
-        pub(crate) fn as_arr(&self) -> Option<&[Value]> {
-            match self {
-                Value::Arr(items) => Some(items),
-                _ => None,
-            }
-        }
-
-        pub(crate) fn is_null(&self) -> bool {
-            matches!(self, Value::Null)
-        }
-    }
-
-    pub(crate) fn parse(text: &str) -> Result<Value, String> {
-        let bytes = text.as_bytes();
-        let mut at = 0usize;
-        let value = parse_value(bytes, &mut at)?;
-        skip_ws(bytes, &mut at);
-        if at != bytes.len() {
-            return Err(format!("trailing bytes at offset {at}"));
-        }
-        Ok(value)
-    }
-
-    fn skip_ws(bytes: &[u8], at: &mut usize) {
-        while *at < bytes.len() && matches!(bytes[*at], b' ' | b'\t' | b'\n' | b'\r') {
-            *at += 1;
-        }
-    }
-
-    fn expect(bytes: &[u8], at: &mut usize, b: u8) -> Result<(), String> {
-        if bytes.get(*at) == Some(&b) {
-            *at += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at offset {at}", b as char))
-        }
-    }
-
-    fn parse_value(bytes: &[u8], at: &mut usize) -> Result<Value, String> {
-        skip_ws(bytes, at);
-        match bytes.get(*at) {
-            Some(b'{') => parse_object(bytes, at),
-            Some(b'[') => parse_array(bytes, at),
-            Some(b'"') => Ok(Value::Str(parse_string(bytes, at)?)),
-            Some(b't') => parse_lit(bytes, at, b"true", Value::Bool(true)),
-            Some(b'f') => parse_lit(bytes, at, b"false", Value::Bool(false)),
-            Some(b'n') => parse_lit(bytes, at, b"null", Value::Null),
-            Some(b'-' | b'0'..=b'9') => parse_number(bytes, at),
-            _ => Err(format!("unexpected byte at offset {at}")),
-        }
-    }
-
-    fn parse_lit(bytes: &[u8], at: &mut usize, lit: &[u8], v: Value) -> Result<Value, String> {
-        if bytes.len() - *at >= lit.len() && &bytes[*at..*at + lit.len()] == lit {
-            *at += lit.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {at}"))
-        }
-    }
-
-    fn parse_number(bytes: &[u8], at: &mut usize) -> Result<Value, String> {
-        let start = *at;
-        if bytes.get(*at) == Some(&b'-') {
-            *at += 1;
-        }
-        while *at < bytes.len()
-            && matches!(bytes[*at], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        {
-            *at += 1;
-        }
-        if *at == start {
-            return Err(format!("empty number at offset {start}"));
-        }
-        String::from_utf8(bytes[start..*at].to_vec())
-            .map(Value::Num)
-            .map_err(|_| "non-utf8 number".to_string())
-    }
-
-    fn parse_string(bytes: &[u8], at: &mut usize) -> Result<String, String> {
-        expect(bytes, at, b'"')?;
-        let mut out: Vec<u8> = Vec::new();
-        loop {
-            match bytes.get(*at) {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    *at += 1;
-                    return String::from_utf8(out).map_err(|_| "non-utf8 string".into());
-                }
-                Some(b'\\') => {
-                    *at += 1;
-                    match bytes.get(*at) {
-                        Some(b'"') => out.push(b'"'),
-                        Some(b'\\') => out.push(b'\\'),
-                        Some(b'/') => out.push(b'/'),
-                        Some(b'b') => out.push(0x08),
-                        Some(b'f') => out.push(0x0c),
-                        Some(b'n') => out.push(b'\n'),
-                        Some(b'r') => out.push(b'\r'),
-                        Some(b't') => out.push(b'\t'),
-                        Some(b'u') => {
-                            *at += 1;
-                            let hi = parse_hex4(bytes, at)?;
-                            let c = if (0xd800..0xdc00).contains(&hi) {
-                                // Surrogate pair: \uD8xx\uDCxx.
-                                if bytes.get(*at) == Some(&b'\\')
-                                    && bytes.get(*at + 1) == Some(&b'u')
-                                {
-                                    *at += 2;
-                                    let lo = parse_hex4(bytes, at)?;
-                                    let code =
-                                        0x10000 + ((hi - 0xd800) << 10) + (lo.wrapping_sub(0xdc00));
-                                    char::from_u32(code).ok_or("bad surrogate pair")?
-                                } else {
-                                    return Err("lone high surrogate".into());
-                                }
-                            } else {
-                                char::from_u32(hi).ok_or("bad \\u escape")?
-                            };
-                            let mut buf = [0u8; 4];
-                            out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                            continue;
-                        }
-                        _ => return Err(format!("bad escape at offset {at}")),
-                    }
-                    *at += 1;
-                }
-                Some(&b) => {
-                    out.push(b);
-                    *at += 1;
-                }
-            }
-        }
-    }
-
-    fn parse_hex4(bytes: &[u8], at: &mut usize) -> Result<u32, String> {
-        if bytes.len() < *at + 4 {
-            return Err("truncated \\u escape".into());
-        }
-        let s = std::str::from_utf8(&bytes[*at..*at + 4]).map_err(|_| "non-utf8 escape")?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| "non-hex \\u escape")?;
-        *at += 4;
-        Ok(v)
-    }
-
-    fn parse_array(bytes: &[u8], at: &mut usize) -> Result<Value, String> {
-        expect(bytes, at, b'[')?;
-        let mut items = Vec::new();
-        skip_ws(bytes, at);
-        if bytes.get(*at) == Some(&b']') {
-            *at += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            items.push(parse_value(bytes, at)?);
-            skip_ws(bytes, at);
-            match bytes.get(*at) {
-                Some(b',') => *at += 1,
-                Some(b']') => {
-                    *at += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(format!("expected , or ] at offset {at}")),
-            }
-        }
-    }
-
-    fn parse_object(bytes: &[u8], at: &mut usize) -> Result<Value, String> {
-        expect(bytes, at, b'{')?;
-        let mut fields = Vec::new();
-        skip_ws(bytes, at);
-        if bytes.get(*at) == Some(&b'}') {
-            *at += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            skip_ws(bytes, at);
-            let key = parse_string(bytes, at)?;
-            skip_ws(bytes, at);
-            expect(bytes, at, b':')?;
-            let value = parse_value(bytes, at)?;
-            fields.push((key, value));
-            skip_ws(bytes, at);
-            match bytes.get(*at) {
-                Some(b',') => *at += 1,
-                Some(b'}') => {
-                    *at += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(format!("expected , or }} at offset {at}")),
-            }
-        }
-    }
+    Some((pair("train_split")?, eval, model))
 }
 
 #[cfg(test)]
@@ -899,16 +615,18 @@ mod tests {
         dir
     }
 
+    fn open(dir: &Path, config: &SimConfig) -> CheckpointStore {
+        let hash = config_hash(config, &PipelineFaultPlan::none());
+        CheckpointStore::open(dir, hash, &DiskFaultPlan::none()).unwrap()
+    }
+
     fn store(tag: &str) -> (CheckpointStore, PathBuf) {
         let dir = tempdir(tag);
-        let s = CheckpointStore::open(
-            &dir,
-            &SimConfig::tiny(),
-            &PipelineFaultPlan::none(),
-            &DiskFaultPlan::none(),
-        )
-        .unwrap();
-        (s, dir)
+        (open(&dir, &SimConfig::tiny()), dir)
+    }
+
+    fn empty_crawl(truncated: u64) -> CrawlState {
+        (Vec::new(), CrawlStats::from_records(&[]), truncated)
     }
 
     /// Overwrites one on-disk generation with damage, through the same
@@ -917,26 +635,6 @@ mod tests {
         RealVfs
             .write(&dir.join(name), b"{\"version\": 1, tru")
             .unwrap();
-    }
-
-    #[test]
-    fn json_parser_round_trips_writer_subset() {
-        let v = json::parse(
-            "{\"a\": 1, \"b\": [1, 2, 3], \"c\": \"x\\ny \\u00e9\", \"d\": null, \"e\": {\"f\": 18446744073709551615}}",
-        )
-        .unwrap();
-        assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("b").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("c").unwrap().as_str(), Some("x\ny é"));
-        assert!(v.get("d").unwrap().is_null());
-        assert_eq!(
-            v.get("e").unwrap().get("f").unwrap().as_u64(),
-            Some(u64::MAX),
-            "u64 bit patterns must survive parsing"
-        );
-        assert!(json::parse("{\"a\": }").is_err());
-        assert!(json::parse("[1, 2").is_err());
-        assert!(json::parse("").is_err());
     }
 
     #[test]
@@ -988,14 +686,15 @@ mod tests {
         let mut stats = CrawlStats::from_records(&records);
         stats.transport.attempts = 42;
         stats.transport.errors = [1, 2, 3, 4];
-        store.save_crawl(&records, &stats, 7).unwrap();
-        let Loaded::Value((r2, s2, truncated)) = store.load_crawl().unwrap() else {
+        store
+            .save_stage(&CRAWL, &(records.clone(), stats.clone(), 7))
+            .unwrap();
+        let Loaded::Value((r2, s2, truncated)) = store.load_stage(&CRAWL).unwrap() else {
             panic!("crawl checkpoint did not load");
         };
         assert_eq!(r2, records);
         assert_eq!(truncated, 7);
-        assert_eq!(s2.transport.attempts, 42);
-        assert_eq!(s2.transport.errors, [1, 2, 3, 4]);
+        assert_eq!(s2.transport, stats.transport);
         assert_eq!(s2.web_live, stats.web_live);
         // Atomic writes leave no temp files behind.
         assert!(std::fs::read_dir(&dir).unwrap().all(|e| !e
@@ -1006,38 +705,85 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Bodies in the exact layout the hand-built pretty writers of format
+    /// version 2 produced (one field per line, `", "` separators, nested
+    /// objects inline) still decode, so checkpoint directories written
+    /// before the move to compact bodies keep resuming.
+    #[test]
+    fn version_2_pretty_layout_bodies_decode() {
+        let scan = Json::parse(
+            "{\n\"version\": 2,\n\"config_hash\": 4208810851125637765,\n\"stage\": \"scan\",\n\
+             \"scanned\": 112404,\n\"invalid\": 3,\n\"by_type\": [16, 24, 83, 185, 20],\n\
+             \"by_brand\": [5, 0],\n\"matches\": [\n\
+             {\"domain\": \"2enpoint.net\", \"ip\": [101, 46, 13, 179], \"brand\": 187, \"type\": \"Homograph\"}\n],\n\
+             \"metrics\": {\"requested_workers\": 1, \"dedupe_collisions\": 2, \"wall_nanos\": 9, \"workers\": [\n\
+             {\"records\": 112404, \"invalid\": 3, \"blocks\": 4, \"probes\": 5, \"deep_probes\": 6, \"allocations_avoided\": 7, \"elapsed_nanos\": 8}\n]}\n}\n",
+        )
+        .unwrap();
+        let (outcome, metrics) = decode_scan(&scan).expect("scan body decodes");
+        assert_eq!((outcome.scanned, outcome.invalid), (112404, 3));
+        assert_eq!(outcome.by_type, [16, 24, 83, 185, 20]);
+        assert_eq!(outcome.matches[0].ip, Ipv4Addr::new(101, 46, 13, 179));
+        assert_eq!(outcome.matches[0].squat_type, SquatType::Homograph);
+        assert_eq!(metrics.workers[0].allocations_avoided, 7);
+        assert_eq!(metrics.wall, Duration::from_nanos(9));
+
+        let crawl = Json::parse(
+            "{\n\"version\": 2,\n\"config_hash\": 4208810851125637765,\n\"stage\": \"crawl\",\n\
+             \"truncated\": 1,\n\
+             \"transport\": {\"attempts\": 656, \"successes\": 650, \"retries\": 2, \"backoff_ns\": 3, \"errors\": [0, 1, 0, 0], \"injected\": [0, 0, 4, 0], \"breaker_trips\": 5, \"breaker_short_circuits\": 6, \"fetch_deadline_hits\": 7, \"crawl_deadline_hits\": 8},\n\
+             \"records\": [\n\
+             {\"domain\": \"oxlab.com\", \"brand\": 265, \"type\": \"Typo\", \"web\": {\"final_host\": \"oxlab.com\", \"html\": \"<p class=\\\"x\\\">\\u00e9</p>\", \"redirects\": [\"a.com\"]}, \"mobile\": null, \"web_redirect\": \"Market\", \"mobile_redirect\": \"None\"}\n]\n}\n",
+        )
+        .unwrap();
+        let (records, stats, truncated) = decode_crawl(&crawl).expect("crawl body decodes");
+        assert_eq!(truncated, 1);
+        assert_eq!(stats.transport.injected, [0, 0, 4, 0]);
+        assert_eq!(stats.transport.crawl_deadline_hits, 8);
+        let web = records[0].web.as_ref().expect("web capture");
+        assert_eq!(web.html, "<p class=\"x\">é</p>");
+        assert_eq!(records[0].web_redirect, RedirectClass::Market);
+        assert!(records[0].mobile.is_none());
+
+        let train = Json::parse(
+            "{\n\"version\": 2,\n\"config_hash\": 4208810851125637765,\n\"stage\": \"train\",\n\
+             \"train_split\": [1734, 2259],\n\"train_shape\": [1734, 2259],\n\"models\": [\n\
+             {\"name\": \"KNN\", \"fpr\": 4587305974229462364, \"fnr\": 0, \"auc\": 4607182418800017408, \"accuracy\": 18446744073709551615, \"roc\": [[0, 0], [4602678819172646912, 4607182418800017408]]}\n],\n\
+             \"model\": \"rf1 1 14 4 0 2018\\nT 1\\nL 4602678819172646912\\n\"\n}\n",
+        )
+        .unwrap();
+        let (split, eval, model) = decode_train(&train).expect("train body decodes");
+        assert_eq!(split, (1734, 2259));
+        assert_eq!(eval.models[0].metrics.auc, 1.0);
+        assert_eq!(eval.models[0].metrics.accuracy.to_bits(), u64::MAX);
+        assert_eq!(eval.models[0].roc.points[1], (0.5, 1.0));
+        assert_eq!(
+            model.encode(),
+            "rf1 1 14 4 0 2018\nT 1\nL 4602678819172646912\n"
+        );
+    }
+
     #[test]
     fn stale_checkpoints_are_recomputed_not_fatal() {
         let (store, dir) = store("stale");
-        let records: Vec<CrawlRecord> = Vec::new();
-        store
-            .save_crawl(&records, &CrawlStats::from_records(&records), 0)
-            .unwrap();
+        store.save_stage(&CRAWL, &empty_crawl(0)).unwrap();
         // A different config must not load this checkpoint.
         let mut other_cfg = SimConfig::tiny();
         other_cfg.seed = 4242;
-        let other = CheckpointStore::open(
-            &dir,
-            &other_cfg,
-            &PipelineFaultPlan::none(),
-            &DiskFaultPlan::none(),
-        )
-        .unwrap();
-        assert!(matches!(other.load_crawl().unwrap(), Loaded::Stale));
+        let other = open(&dir, &other_cfg);
+        assert!(matches!(other.load_stage(&CRAWL).unwrap(), Loaded::Stale));
         // Missing checkpoint → Missing.
-        assert!(matches!(store.load_scan().unwrap(), Loaded::Missing));
+        assert!(matches!(store.load_stage(&SCAN).unwrap(), Loaded::Missing));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn damaged_newest_generation_recovers_from_the_previous() {
         let (store, dir) = store("recover");
-        let records: Vec<CrawlRecord> = Vec::new();
-        let stats = CrawlStats::from_records(&records);
-        store.save_crawl(&records, &stats, 1).unwrap();
-        store.save_crawl(&records, &stats, 2).unwrap();
+        store.save_stage(&CRAWL, &empty_crawl(1)).unwrap();
+        store.save_stage(&CRAWL, &empty_crawl(2)).unwrap();
         corrupt(&dir, "crawl.g2.ckpt");
-        match store.load_crawl().unwrap() {
+        match store.load_stage(&CRAWL).unwrap() {
             Loaded::Recovered((_, _, truncated), detail) => {
                 assert_eq!(truncated, 1, "recovery must serve the older generation");
                 assert!(detail.contains("g2"), "damage detail missing: {detail}");
@@ -1051,12 +797,9 @@ mod tests {
     #[test]
     fn fully_damaged_checkpoint_is_a_structured_error_not_a_silent_recompute() {
         let (store, dir) = store("unrecoverable");
-        let records: Vec<CrawlRecord> = Vec::new();
-        store
-            .save_crawl(&records, &CrawlStats::from_records(&records), 0)
-            .unwrap();
+        store.save_stage(&CRAWL, &empty_crawl(0)).unwrap();
         corrupt(&dir, "crawl.g1.ckpt");
-        match store.load_crawl() {
+        match store.load_stage(&CRAWL) {
             Err(CheckpointError::Unrecoverable { name, detail, .. }) => {
                 assert_eq!(name, "crawl");
                 assert!(detail.contains("g1"), "damage detail missing: {detail}");

@@ -386,6 +386,27 @@ mod tests {
         assert_eq!(uncached.analyzer().metrics().cache_hits, 0);
     }
 
+    /// Workers that miss the same page at once must count one miss between
+    /// them: the loser of the insert race is served the winner's artifact
+    /// and counts a hit, so the split is thread-count independent.
+    #[test]
+    fn concurrent_misses_on_one_page_count_one_miss() {
+        let reg = BrandRegistry::with_size(10);
+        let page = pages::benign_page("a.com", 7);
+        let copies = vec![page.as_str(); 8];
+        for round in 0..200 {
+            let fx = FeatureExtractor::new(&reg);
+            let artifacts = fx.analyze_batch(&copies, 4);
+            assert!(artifacts.iter().all(|a| Arc::ptr_eq(a, &artifacts[0])));
+            let m = fx.analyzer().metrics();
+            assert_eq!(
+                (m.pages, m.cache_misses, m.cache_hits),
+                (8, 1, 7),
+                "round {round}"
+            );
+        }
+    }
+
     #[test]
     fn extract_batch_is_deterministic_across_thread_counts() {
         let (fx, _) = extractor();

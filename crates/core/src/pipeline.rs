@@ -8,7 +8,7 @@
 //! [`SquatPhi::run`] wrapper is deprecated in favor of `try_run`.
 
 use crate::artifact::{content_key, AnalysisSnapshot};
-use crate::checkpoint::{CheckpointStore, Loaded};
+use crate::checkpoint::{self, CheckpointStore, Loaded, StageCodec};
 use crate::config::SimConfig;
 use crate::features::FeatureExtractor;
 use crate::supervise::{
@@ -290,6 +290,54 @@ fn fail(
     }
 }
 
+/// Where completed stages resume from: the run's checkpoint store (if
+/// any), whether `--resume` asked to read it, and the supervisor that
+/// records what happened.
+struct Resume<'a> {
+    store: Option<&'a CheckpointStore>,
+    enabled: bool,
+    supervisor: &'a Supervisor,
+}
+
+impl Resume<'_> {
+    /// Resumes one stage from its checkpoint or computes it. With
+    /// `--resume`, the newest verifiable generation is served (noting a
+    /// recovery from damage) and a stale one is noted as invalidated;
+    /// otherwise — or when nothing usable is on disk — `compute` runs and
+    /// its output is checkpointed when a store is configured. Returns the
+    /// output and whether it came from disk.
+    fn stage<T>(
+        &self,
+        codec: &StageCodec<T>,
+        completed: &[PipelineStage],
+        compute: impl FnOnce() -> Result<T, PipelineError>,
+    ) -> Result<(T, bool), PipelineError> {
+        let stage = codec.stage;
+        let ckpt = |e| fail(stage, completed, PipelineErrorKind::Checkpoint(e));
+        if let (true, Some(store)) = (self.enabled, self.store) {
+            match store.load_stage(codec).map_err(ckpt)? {
+                Loaded::Value(v) => {
+                    self.supervisor.note_resumed(stage);
+                    return Ok((v, true));
+                }
+                Loaded::Recovered(v, detail) => {
+                    self.supervisor.note_resumed(stage);
+                    self.supervisor.note_recovered_checkpoint(stage, detail);
+                    return Ok((v, true));
+                }
+                Loaded::Stale => self.supervisor.note_invalidated(stage),
+                Loaded::Missing => {}
+            }
+        }
+        let value = compute()?;
+        if let Some(store) = self.store {
+            store.save_stage(codec, &value).map_err(ckpt)?;
+            self.supervisor.note_checkpointed(stage);
+        }
+        Ok((value, false))
+    }
+}
+
 impl SquatPhi {
     /// Runs the full pipeline under `config` with supervised stages.
     ///
@@ -321,80 +369,50 @@ impl SquatPhi {
         let supervisor = Supervisor::new(opts);
         let store = match &opts.checkpoint_dir {
             Some(dir) => Some(
-                CheckpointStore::open(dir, config, &opts.faults, &opts.disk_faults).map_err(
-                    |e| {
-                        fail(
-                            PipelineStage::Scan,
-                            &completed,
-                            PipelineErrorKind::Checkpoint(e),
-                        )
-                    },
-                )?,
+                CheckpointStore::open(
+                    dir,
+                    checkpoint::config_hash(config, &opts.faults),
+                    &opts.disk_faults,
+                )
+                .map_err(|e| {
+                    fail(
+                        PipelineStage::Scan,
+                        &completed,
+                        PipelineErrorKind::Checkpoint(e),
+                    )
+                })?,
             ),
             None => None,
         };
-        let ckpt_err = |stage: PipelineStage,
-                        completed: &[PipelineStage],
-                        e: crate::checkpoint::CheckpointError| {
-            fail(stage, completed, PipelineErrorKind::Checkpoint(e))
+        let resume = Resume {
+            store: store.as_ref(),
+            enabled: opts.resume,
+            supervisor: &supervisor,
         };
         let mut timings = StageTimings::default();
         let registry = BrandRegistry::with_size(config.brands);
 
         // Stage 1 — squatting detection over the DNS snapshot (§3.1).
         let stage = Instant::now();
-        let (scan_outcome, scan_metrics) = {
-            let mut resumed = None;
-            if opts.resume {
-                if let Some(store) = &store {
-                    match store
-                        .load_scan()
-                        .map_err(|e| ckpt_err(PipelineStage::Scan, &completed, e))?
-                    {
-                        Loaded::Value(v) => {
-                            supervisor.note_resumed(PipelineStage::Scan);
-                            resumed = Some(v);
-                        }
-                        Loaded::Recovered(v, detail) => {
-                            supervisor.note_resumed(PipelineStage::Scan);
-                            supervisor.note_recovered_checkpoint(PipelineStage::Scan, detail);
-                            resumed = Some(v);
-                        }
-                        Loaded::Stale => supervisor.note_invalidated(PipelineStage::Scan),
-                        Loaded::Missing => {}
-                    }
-                }
-            }
-            match resumed {
-                Some(v) => v,
-                None => {
-                    let (snapshot, _stats) = synth::generate(&config.snapshot, &registry);
-                    let detector = SquatDetector::new(&registry);
-                    // A worker panic surfaces as a structured StagePanic
-                    // naming the failing shard instead of taking the
-                    // process down (PR 5 supervision contract).
-                    let out =
-                        try_scan_with_metrics(&snapshot, &registry, &detector, config.threads)
-                            .map_err(|e| {
-                                fail(
-                                    PipelineStage::Scan,
-                                    &completed,
-                                    PipelineErrorKind::StagePanic {
-                                        key: format!("scan shard {}", e.shard),
-                                        cause: e.cause,
-                                    },
-                                )
-                            })?;
-                    if let Some(store) = &store {
-                        store
-                            .save_scan(&out.0, &out.1)
-                            .map_err(|e| ckpt_err(PipelineStage::Scan, &completed, e))?;
-                        supervisor.note_checkpointed(PipelineStage::Scan);
-                    }
-                    out
-                }
-            }
-        };
+        let ((scan_outcome, scan_metrics), _) =
+            resume.stage(&checkpoint::SCAN, &completed, || {
+                let (snapshot, _stats) = synth::generate(&config.snapshot, &registry);
+                let detector = SquatDetector::new(&registry);
+                // A worker panic surfaces as a structured StagePanic naming
+                // the failing shard instead of taking the process down.
+                try_scan_with_metrics(&snapshot, &registry, &detector, config.threads).map_err(
+                    |e| {
+                        fail(
+                            PipelineStage::Scan,
+                            &completed,
+                            PipelineErrorKind::StagePanic {
+                                key: format!("scan shard {}", e.shard),
+                                cause: e.cause,
+                            },
+                        )
+                    },
+                )
+            })?;
         timings.scan = stage.elapsed();
         completed.push(PipelineStage::Scan);
         if opts.stop_after == Some(PipelineStage::Scan) {
@@ -415,98 +433,66 @@ impl SquatPhi {
             .map(|m| (m.domain.registrable(), m.brand, m.squat_type, m.ip))
             .collect();
         let world = Arc::new(WebWorld::build(&squats, &registry, &config.world));
-        let (crawl_records, crawl_stats) = {
-            let mut resumed = None;
-            if opts.resume {
-                if let Some(store) = &store {
-                    match store
-                        .load_crawl()
-                        .map_err(|e| ckpt_err(PipelineStage::Crawl, &completed, e))?
-                    {
-                        Loaded::Value((records, stats, truncated)) => {
-                            supervisor.note_resumed(PipelineStage::Crawl);
-                            // Replay the fault accounting of the run that
-                            // wrote the checkpoint (the records are
-                            // already truncated on disk).
-                            supervisor.note_truncated_bulk(truncated);
-                            resumed = Some((records, stats));
+        let ((crawl_records, crawl_stats, truncated), resumed) =
+            resume.stage(&checkpoint::CRAWL, &completed, || {
+                let transport = InProcessTransport::new(world.clone());
+                let jobs: Vec<(String, usize, SquatType)> = squats
+                    .iter()
+                    .map(|(d, b, t, _)| (d.clone(), *b, *t))
+                    .collect();
+                let crawl_cfg = CrawlConfig::builder()
+                    .workers(config.threads.max(1))
+                    .snapshot(0)
+                    .build()
+                    .map_err(|e| {
+                        fail(
+                            PipelineStage::Crawl,
+                            &completed,
+                            PipelineErrorKind::Config(e.to_string()),
+                        )
+                    })?;
+                let (mut records, mut stats) = crawl_all(&jobs, &registry, &transport, &crawl_cfg);
+                let mut truncated = 0u64;
+                if !opts.faults.is_none() {
+                    for r in &mut records {
+                        if !supervisor.truncates(&r.domain) {
+                            continue;
                         }
-                        Loaded::Recovered((records, stats, truncated), detail) => {
-                            supervisor.note_resumed(PipelineStage::Crawl);
-                            supervisor.note_recovered_checkpoint(PipelineStage::Crawl, detail);
-                            supervisor.note_truncated_bulk(truncated);
-                            resumed = Some((records, stats));
-                        }
-                        Loaded::Stale => supervisor.note_invalidated(PipelineStage::Crawl),
-                        Loaded::Missing => {}
-                    }
-                }
-            }
-            match resumed {
-                Some(v) => v,
-                None => {
-                    let transport = InProcessTransport::new(world.clone());
-                    let jobs: Vec<(String, usize, SquatType)> = squats
-                        .iter()
-                        .map(|(d, b, t, _)| (d.clone(), *b, *t))
-                        .collect();
-                    let crawl_cfg = CrawlConfig::builder()
-                        .workers(config.threads.max(1))
-                        .snapshot(0)
-                        .build()
-                        .map_err(|e| {
-                            fail(
-                                PipelineStage::Crawl,
-                                &completed,
-                                PipelineErrorKind::Config(e.to_string()),
-                            )
-                        })?;
-                    let (mut records, mut stats) =
-                        crawl_all(&jobs, &registry, &transport, &crawl_cfg);
-                    let mut truncated = 0u64;
-                    if !opts.faults.is_none() {
-                        for r in &mut records {
-                            if !supervisor.truncates(&r.domain) {
+                        let mut cut_any = false;
+                        for cap in [&mut r.web, &mut r.mobile] {
+                            let Some(c) = cap else { continue };
+                            if c.html.is_empty() {
                                 continue;
                             }
-                            let mut cut_any = false;
-                            for cap in [&mut r.web, &mut r.mobile] {
-                                let Some(c) = cap else { continue };
-                                if c.html.is_empty() {
-                                    continue;
-                                }
-                                let mut cut = c.html.len() / 3;
-                                while cut > 0 && !c.html.is_char_boundary(cut) {
-                                    cut -= 1;
-                                }
-                                c.html.truncate(cut);
-                                cut_any = true;
+                            let mut cut = c.html.len() / 3;
+                            while cut > 0 && !c.html.is_char_boundary(cut) {
+                                cut -= 1;
                             }
-                            if cut_any {
-                                supervisor.note_truncated();
-                                truncated += 1;
-                            }
+                            c.html.truncate(cut);
+                            cut_any = true;
                         }
-                        if truncated > 0 {
-                            // Re-aggregate over the mutated records so a
-                            // resumed run (which recomputes stats from
-                            // the checkpointed records) sees the same
-                            // numbers as this one.
-                            let transport_counters = stats.transport.clone();
-                            stats = CrawlStats::from_records(&records);
-                            stats.transport = transport_counters;
+                        if cut_any {
+                            supervisor.note_truncated();
+                            truncated += 1;
                         }
                     }
-                    if let Some(store) = &store {
-                        store
-                            .save_crawl(&records, &stats, truncated)
-                            .map_err(|e| ckpt_err(PipelineStage::Crawl, &completed, e))?;
-                        supervisor.note_checkpointed(PipelineStage::Crawl);
+                    if truncated > 0 {
+                        // Re-aggregate over the mutated records so a
+                        // resumed run (which recomputes stats from the
+                        // checkpointed records) sees the same numbers as
+                        // this one.
+                        let transport_counters = stats.transport.clone();
+                        stats = CrawlStats::from_records(&records);
+                        stats.transport = transport_counters;
                     }
-                    (records, stats)
                 }
-            }
-        };
+                Ok((records, stats, truncated))
+            })?;
+        if resumed {
+            // Replay the fault accounting of the run that wrote the
+            // checkpoint (the records are already truncated on disk).
+            supervisor.note_truncated_bulk(truncated);
+        }
         timings.crawl = stage.elapsed();
         completed.push(PipelineStage::Crawl);
         if opts.stop_after == Some(PipelineStage::Crawl) {
@@ -531,64 +517,33 @@ impl SquatPhi {
         } else {
             FeatureExtractor::uncached(&registry)
         };
-        let (train_split, eval, model) = {
-            let mut resumed = None;
-            if opts.resume {
-                if let Some(store) = &store {
-                    match store
-                        .load_train()
-                        .map_err(|e| ckpt_err(PipelineStage::Train, &completed, e))?
-                    {
-                        Loaded::Value(v) => {
-                            supervisor.note_resumed(PipelineStage::Train);
-                            resumed = Some(v);
-                        }
-                        Loaded::Recovered(v, detail) => {
-                            supervisor.note_resumed(PipelineStage::Train);
-                            supervisor.note_recovered_checkpoint(PipelineStage::Train, detail);
-                            resumed = Some(v);
-                        }
-                        Loaded::Stale => supervisor.note_invalidated(PipelineStage::Train),
-                        Loaded::Missing => {}
-                    }
+        let ((train_split, eval, model), _) =
+            resume.stage(&checkpoint::TRAIN, &completed, || {
+                let (dataset, split) = build_training_set(
+                    &supervisor,
+                    &extractor,
+                    &feed,
+                    &crawl_records,
+                    &world,
+                    &registry,
+                    config,
+                )
+                .map_err(|kind| fail(PipelineStage::Train, &completed, kind))?;
+                if split.0 == 0 || split.1 == 0 {
+                    return Err(fail(
+                        PipelineStage::Train,
+                        &completed,
+                        PipelineErrorKind::StageInvariant(format!(
+                            "degenerate training split after quarantine: \
+                             {} positives, {} negatives",
+                            split.0, split.1
+                        )),
+                    ));
                 }
-            }
-            match resumed {
-                Some(v) => v,
-                None => {
-                    let (dataset, split) = build_training_set(
-                        &supervisor,
-                        &extractor,
-                        &feed,
-                        &crawl_records,
-                        &world,
-                        &registry,
-                        config,
-                    )
-                    .map_err(|kind| fail(PipelineStage::Train, &completed, kind))?;
-                    if split.0 == 0 || split.1 == 0 {
-                        return Err(fail(
-                            PipelineStage::Train,
-                            &completed,
-                            PipelineErrorKind::StageInvariant(format!(
-                                "degenerate training split after quarantine: \
-                                 {} positives, {} negatives",
-                                split.0, split.1
-                            )),
-                        ));
-                    }
-                    let eval = train::train_and_evaluate(&dataset, config.cv_folds, config.seed);
-                    let model = train::fit_final_model(&dataset, config.seed);
-                    if let Some(store) = &store {
-                        store
-                            .save_train(split, &eval, &model)
-                            .map_err(|e| ckpt_err(PipelineStage::Train, &completed, e))?;
-                        supervisor.note_checkpointed(PipelineStage::Train);
-                    }
-                    (split, eval, model)
-                }
-            }
-        };
+                let eval = train::train_and_evaluate(&dataset, config.cv_folds, config.seed);
+                let model = train::fit_final_model(&dataset, config.seed);
+                Ok((split, eval, model))
+            })?;
         timings.train = stage.elapsed();
         completed.push(PipelineStage::Train);
         if opts.stop_after == Some(PipelineStage::Train) {

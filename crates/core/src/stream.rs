@@ -27,10 +27,11 @@
 //! `(WatchConfig, stop point)` — same seed and same `stop_after` produce
 //! a byte-identical [`WatchSummary::to_json`], at any worker-thread
 //! count. The watermark checkpoint (generational `watch.g<N>.ckpt` files
-//! persisted through [`squatphi_durability::DurableStore`], reusing the
-//! [`crate::checkpoint`] codec conventions) round-trips the full daemon
-//! state, so killing the daemon at a checkpoint and resuming reproduces
-//! the uninterrupted run's [`WatchSummary::state_fingerprint`] exactly.
+//! in the same [`crate::checkpoint`] store the pipeline stages use,
+//! bound to the watch config hash) round-trips the full daemon state
+//! through one JSON codec, so killing the daemon at a checkpoint and
+//! resuming reproduces the uninterrupted run's
+//! [`WatchSummary::state_fingerprint`] exactly.
 //! Because the run is a pure function of its inputs, resuming from *any*
 //! verified generation — including an older one recovered after the
 //! newest was damaged — still converges on the identical final summary.
@@ -39,7 +40,10 @@
 //! [`SquatPhi:: try_watch`]: crate::pipeline::SquatPhi
 
 use crate::artifact::content_key;
-use crate::checkpoint::{esc, json, parse_squat_type, store_err, vfs_for, CheckpointError, Loaded};
+use crate::checkpoint::{
+    decode_ip, decode_squat_type, decode_transport, ip_json, text, transport_json, CheckpointError,
+    CheckpointStore, Loaded,
+};
 use crate::pipeline::SquatPhi;
 use squatphi_crawler::{
     crawl_all, CircuitBreakerPolicy, Clock, CrawlConfig, InProcessTransport, RecrawlScheduler,
@@ -47,15 +51,14 @@ use squatphi_crawler::{
 };
 use squatphi_dnsdb::{EventStream, EventStreamConfig, StreamEvent};
 use squatphi_domain::DomainName;
-use squatphi_durability::{
-    render_classes, DiskFaultPlan, DurabilityStats, DurableStore, LoadOutcome,
-};
+use squatphi_durability::{DiskFaultPlan, DurabilityStats};
 use squatphi_feeds::{Blacklists, PhishKind};
 use squatphi_squat::{BrandRegistry, SquatDetector, SquatMatch, SquatType};
+use squatphi_telemetry::Json;
 use squatphi_web::{WebWorld, WorldConfig};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::net::Ipv4Addr;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -65,6 +68,9 @@ const TICK_NANOS: u64 = 1_000_000;
 
 /// Watch checkpoint format version.
 const WATCH_VERSION: u64 = 1;
+
+/// Name of the watermark state in the checkpoint directory.
+const WATERMARK: &str = "watch";
 
 /// Seed of the watch config-hash content key.
 const HASH_SEED: u64 = 0x3a7c_9d02;
@@ -492,32 +498,38 @@ impl WatchCounters {
     }
 
     /// Field names and values in declaration (JSON) order — the single
-    /// source for export and encoding.
+    /// source for export, the summary and the watermark codec.
     fn fields(&self) -> [(&'static str, u64); 23] {
+        self.clone()
+            .fields_mut()
+            .map(|(name, value)| (name, *value))
+    }
+
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 23] {
         [
-            ("injected", self.injected),
-            ("accepted", self.accepted),
-            ("dropped_registrations", self.dropped_registrations),
-            ("dropped_churn", self.dropped_churn),
-            ("dropped_feed", self.dropped_feed),
-            ("processed", self.processed),
-            ("registrations", self.registrations),
-            ("churn_hits", self.churn_hits),
-            ("churn_misses", self.churn_misses),
-            ("feed_hits", self.feed_hits),
-            ("feed_misses", self.feed_misses),
-            ("detected", self.detected),
-            ("detect_stalls", self.detect_stalls),
-            ("purged_candidates", self.purged_candidates),
-            ("duplicate_candidates", self.duplicate_candidates),
-            ("crawl_jobs", self.crawl_jobs),
-            ("first_crawls", self.first_crawls),
-            ("recrawls", self.recrawls),
-            ("live_found", self.live_found),
-            ("dead_found", self.dead_found),
-            ("takedowns", self.takedowns),
-            ("churn_takedowns", self.churn_takedowns),
-            ("blacklisted", self.blacklisted),
+            ("injected", &mut self.injected),
+            ("accepted", &mut self.accepted),
+            ("dropped_registrations", &mut self.dropped_registrations),
+            ("dropped_churn", &mut self.dropped_churn),
+            ("dropped_feed", &mut self.dropped_feed),
+            ("processed", &mut self.processed),
+            ("registrations", &mut self.registrations),
+            ("churn_hits", &mut self.churn_hits),
+            ("churn_misses", &mut self.churn_misses),
+            ("feed_hits", &mut self.feed_hits),
+            ("feed_misses", &mut self.feed_misses),
+            ("detected", &mut self.detected),
+            ("detect_stalls", &mut self.detect_stalls),
+            ("purged_candidates", &mut self.purged_candidates),
+            ("duplicate_candidates", &mut self.duplicate_candidates),
+            ("crawl_jobs", &mut self.crawl_jobs),
+            ("first_crawls", &mut self.first_crawls),
+            ("recrawls", &mut self.recrawls),
+            ("live_found", &mut self.live_found),
+            ("dead_found", &mut self.dead_found),
+            ("takedowns", &mut self.takedowns),
+            ("churn_takedowns", &mut self.churn_takedowns),
+            ("blacklisted", &mut self.blacklisted),
         ]
     }
 }
@@ -723,36 +735,37 @@ impl WatchSummary {
     }
 }
 
-/// Compact single-line counters object for the checkpoint format (the
-/// checkpoint parser expects one line; field order comes from
-/// [`WatchCounters::fields`]).
-fn counters_json(c: &WatchCounters) -> String {
-    let body = c
-        .fields()
-        .iter()
-        .map(|(name, value)| format!("\"{name}\": {value}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!("{{{body}}}")
-}
-
 impl WatchMetrics {
     /// One per-sweep snapshot as a JSON object (shared-encoder leaf of
-    /// [`WatchSummary::to_json`]'s `metrics` array).
-    pub fn to_json(&self) -> squatphi_telemetry::Json {
-        use squatphi_telemetry::Json;
-        let mut obj = Json::obj();
-        obj.push("tick", Json::U64(self.tick));
-        obj.push("injected", Json::U64(self.injected));
-        obj.push("processed", Json::U64(self.processed));
-        obj.push("ingest_depth", Json::U64(self.ingest_depth));
-        obj.push("candidate_depth", Json::U64(self.candidate_depth));
-        obj.push("dropped", Json::U64(self.dropped));
-        obj.push("stalls", Json::U64(self.stalls));
-        obj.push("detected", Json::U64(self.detected));
-        obj.push("tracked", Json::U64(self.tracked));
-        obj.push("blacklisted", Json::U64(self.blacklisted));
-        obj
+    /// [`WatchSummary::to_json`]'s `metrics` array, and the watermark's).
+    pub fn to_json(&self) -> Json {
+        Json::Obj(
+            self.fields()
+                .map(|(name, value)| (name.into(), Json::U64(value)))
+                .into(),
+        )
+    }
+
+    /// Field names and values in declaration (JSON) order.
+    fn fields(&self) -> [(&'static str, u64); 10] {
+        self.clone()
+            .fields_mut()
+            .map(|(name, value)| (name, *value))
+    }
+
+    fn fields_mut(&mut self) -> [(&'static str, &mut u64); 10] {
+        [
+            ("tick", &mut self.tick),
+            ("injected", &mut self.injected),
+            ("processed", &mut self.processed),
+            ("ingest_depth", &mut self.ingest_depth),
+            ("candidate_depth", &mut self.candidate_depth),
+            ("dropped", &mut self.dropped),
+            ("stalls", &mut self.stalls),
+            ("detected", &mut self.detected),
+            ("tracked", &mut self.tracked),
+            ("blacklisted", &mut self.blacklisted),
+        ]
     }
 }
 
@@ -830,32 +843,7 @@ impl WatchState {
             h = mix_u64(h, due);
             h = mix_str(h, domain);
         }
-        let c = &self.counters;
-        for v in [
-            c.injected,
-            c.accepted,
-            c.dropped_registrations,
-            c.dropped_churn,
-            c.dropped_feed,
-            c.processed,
-            c.registrations,
-            c.churn_hits,
-            c.churn_misses,
-            c.feed_hits,
-            c.feed_misses,
-            c.detected,
-            c.detect_stalls,
-            c.purged_candidates,
-            c.duplicate_candidates,
-            c.crawl_jobs,
-            c.first_crawls,
-            c.recrawls,
-            c.live_found,
-            c.dead_found,
-            c.takedowns,
-            c.churn_takedowns,
-            c.blacklisted,
-        ] {
+        for (_, v) in self.counters.fields() {
             h = mix_u64(h, v);
         }
         let t = &self.transport;
@@ -874,18 +862,7 @@ impl WatchState {
             h = mix_u64(h, v);
         }
         for m in &self.metrics {
-            for v in [
-                m.tick,
-                m.injected,
-                m.processed,
-                m.ingest_depth,
-                m.candidate_depth,
-                m.dropped,
-                m.stalls,
-                m.detected,
-                m.tracked,
-                m.blacklisted,
-            ] {
+            for (_, v) in m.fields() {
                 h = mix_u64(h, v);
             }
         }
@@ -930,7 +907,8 @@ impl SquatPhi {
         }
         let store = match &opts.checkpoint_dir {
             Some(dir) => Some(
-                WatchStore::open(dir, config, &opts.disk_faults).map_err(WatchError::Checkpoint)?,
+                CheckpointStore::open(dir, watch_config_hash(config), &opts.disk_faults)
+                    .map_err(WatchError::Checkpoint)?,
             ),
             None => None,
         };
@@ -948,7 +926,10 @@ impl SquatPhi {
         let mut recovered_checkpoint = None;
         if opts.resume {
             if let Some(s) = &store {
-                match s.load().map_err(WatchError::Checkpoint)? {
+                match s
+                    .load(WATERMARK, WatchState::decode)
+                    .map_err(WatchError::Checkpoint)?
+                {
                     Loaded::Value(loaded) => {
                         runner.state = loaded;
                         resumed = true;
@@ -977,15 +958,13 @@ impl SquatPhi {
             runner.step();
             if let Some(s) = &store {
                 if runner.state.next_seq - runner.state.last_checkpoint >= config.checkpoint_every {
-                    runner.state.last_checkpoint = runner.state.next_seq;
-                    s.save(&runner.state).map_err(WatchError::Checkpoint)?;
+                    runner.state.checkpoint(s).map_err(WatchError::Checkpoint)?;
                 }
             }
             if let Some(n) = opts.stop_after {
                 if runner.state.next_seq >= n {
                     if let Some(s) = &store {
-                        runner.state.last_checkpoint = runner.state.next_seq;
-                        s.save(&runner.state).map_err(WatchError::Checkpoint)?;
+                        runner.state.checkpoint(s).map_err(WatchError::Checkpoint)?;
                     }
                     interrupted = true;
                     break;
@@ -994,12 +973,14 @@ impl SquatPhi {
         }
         if let Some(s) = &store {
             if !interrupted {
-                runner.state.last_checkpoint = runner.state.next_seq;
-                s.save(&runner.state).map_err(WatchError::Checkpoint)?;
+                runner.state.checkpoint(s).map_err(WatchError::Checkpoint)?;
             }
         }
 
-        let durability = store.as_ref().map(WatchStore::stats).unwrap_or_default();
+        let durability = store
+            .as_ref()
+            .map(CheckpointStore::stats)
+            .unwrap_or_default();
         let state = runner.state;
         Ok(WatchSummary {
             seed: config.seed,
@@ -1375,300 +1356,136 @@ fn watch_config_hash(config: &WatchConfig) -> u64 {
     content_key(HASH_SEED, canon.as_bytes())
 }
 
-/// The watch watermark store: generational `watch.g<N>.ckpt` files per
-/// checkpoint directory, persisted through the workspace-wide
-/// [`DurableStore`] (checksummed, fsynced, last two generations kept)
-/// and invalidated by config-hash mismatch.
-struct WatchStore {
-    store: DurableStore,
-    hash: u64,
-}
-
-impl WatchStore {
-    fn open(
-        dir: &Path,
-        config: &WatchConfig,
-        disk_faults: &DiskFaultPlan,
-    ) -> Result<Self, CheckpointError> {
-        let hash = watch_config_hash(config);
-        let store = DurableStore::open(dir, hash, vfs_for(disk_faults)).map_err(store_err)?;
-        Ok(WatchStore { store, hash })
-    }
-
-    /// The durable-state ledger for this run's checkpoint directory.
-    fn stats(&self) -> DurabilityStats {
-        self.store.stats()
-    }
-
-    fn save(&self, state: &WatchState) -> Result<(), CheckpointError> {
-        let ingest = state
-            .ingest
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        let candidates = state
-            .candidates
-            .iter()
-            .map(|c| {
-                let o = c.ip.octets();
-                format!(
-                    "{{\"seq\": {}, \"domain\": \"{}\", \"brand\": {}, \"type\": \"{}\", \"ip\": [{}, {}, {}, {}], \"detected_tick\": {}}}",
-                    c.seq,
-                    esc(&c.domain),
-                    c.brand,
-                    c.squat_type.name(),
-                    o[0],
-                    o[1],
-                    o[2],
-                    o[3],
-                    c.detected_tick,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let tracked = state
-            .tracked
-            .iter()
-            .map(|(domain, t)| {
-                let o = t.ip.octets();
-                format!(
-                    "{{\"domain\": \"{}\", \"brand\": {}, \"type\": \"{}\", \"ip\": [{}, {}, {}, {}], \"first_live_tick\": {}, \"crawls\": {}, \"blacklist_day\": {}, \"blacklisted\": {}}}",
-                    esc(domain),
-                    t.brand,
-                    t.squat_type.name(),
-                    o[0],
-                    o[1],
-                    o[2],
-                    o[3],
-                    t.first_live_tick,
-                    t.crawls,
-                    t.blacklist_day.map_or("null".to_string(), |d| d.to_string()),
-                    u8::from(t.blacklisted),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let schedule = state
-            .scheduler
-            .entries()
-            .map(|(due, domain)| format!("{{\"due\": {due}, \"domain\": \"{}\"}}", esc(domain)))
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let metrics = state
-            .metrics
-            .iter()
-            .map(|m| {
-                format!(
-                    "{{\"tick\": {}, \"injected\": {}, \"processed\": {}, \"ingest_depth\": {}, \"candidate_depth\": {}, \"dropped\": {}, \"stalls\": {}, \"detected\": {}, \"tracked\": {}, \"blacklisted\": {}}}",
-                    m.tick,
-                    m.injected,
-                    m.processed,
-                    m.ingest_depth,
-                    m.candidate_depth,
-                    m.dropped,
-                    m.stalls,
-                    m.detected,
-                    m.tracked,
-                    m.blacklisted,
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",\n");
-        let t = &state.transport;
-        let body = format!(
-            "{{\n\"version\": {WATCH_VERSION},\n\"config_hash\": {},\n\"next_seq\": {},\n\"tick\": {},\n\"last_checkpoint\": {},\n\"counters\": {},\n\"transport\": {{\"attempts\": {}, \"successes\": {}, \"retries\": {}, \"backoff_ns\": {}, \"errors\": [{}, {}, {}, {}], \"injected\": [{}, {}, {}, {}], \"breaker_trips\": {}, \"breaker_short_circuits\": {}, \"fetch_deadline_hits\": {}, \"crawl_deadline_hits\": {}}},\n\"ingest\": [{}],\n\"candidates\": [\n{}\n],\n\"tracked\": [\n{}\n],\n\"schedule\": [\n{}\n],\n\"metrics\": [\n{}\n]\n}}\n",
-            self.hash,
-            state.next_seq,
-            state.tick,
-            state.last_checkpoint,
-            counters_json(&state.counters),
-            t.attempts,
-            t.successes,
-            t.retries,
-            t.backoff_ns,
-            t.errors[0],
-            t.errors[1],
-            t.errors[2],
-            t.errors[3],
-            t.injected[0],
-            t.injected[1],
-            t.injected[2],
-            t.injected[3],
-            t.breaker_trips,
-            t.breaker_short_circuits,
-            t.fetch_deadline_hits,
-            t.crawl_deadline_hits,
-            ingest,
-            candidates,
-            tracked,
-            schedule,
-            metrics,
-        );
-        self.store
-            .save("watch", &body)
-            .map(|_generation| ())
-            .map_err(store_err)
-    }
-
-    /// Loads the newest verifiable watermark generation. Missing and
-    /// stale outcomes start the daemon fresh; damage with a surviving
-    /// older generation recovers (the run re-derives the lost tail
-    /// deterministically); damage with no survivor is a structured
-    /// [`CheckpointError::Unrecoverable`], never a silent cold start.
-    fn load(&self) -> Result<Loaded<WatchState>, CheckpointError> {
-        let outcome = self
-            .store
-            .load_with("watch", |body| {
-                json::parse(body).ok().and_then(|v| decode_state(&v))
-            })
-            .map_err(store_err)?;
-        Ok(match outcome {
-            LoadOutcome::Missing => Loaded::Missing,
-            LoadOutcome::Stale { .. } => Loaded::Stale,
-            LoadOutcome::Valid(v) => Loaded::Value(v),
-            LoadOutcome::Recovered { value, skipped, .. } => {
-                Loaded::Recovered(value, render_classes(&skipped))
-            }
-            LoadOutcome::Unrecoverable { classes } => {
-                return Err(CheckpointError::Unrecoverable {
-                    name: "watch".to_string(),
-                    dir: self.store.dir().display().to_string(),
-                    detail: render_classes(&classes),
-                })
-            }
-        })
-    }
-}
-
-fn decode_state(v: &json::Value) -> Option<WatchState> {
-    let mut state = WatchState {
-        next_seq: v.get("next_seq")?.as_u64()?,
-        tick: v.get("tick")?.as_u64()?,
-        last_checkpoint: v.get("last_checkpoint")?.as_u64()?,
-        ..WatchState::default()
-    };
-    let c = v.get("counters")?;
-    let n = |key: &str| c.get(key).and_then(json::Value::as_u64);
-    state.counters = WatchCounters {
-        injected: n("injected")?,
-        accepted: n("accepted")?,
-        dropped_registrations: n("dropped_registrations")?,
-        dropped_churn: n("dropped_churn")?,
-        dropped_feed: n("dropped_feed")?,
-        processed: n("processed")?,
-        registrations: n("registrations")?,
-        churn_hits: n("churn_hits")?,
-        churn_misses: n("churn_misses")?,
-        feed_hits: n("feed_hits")?,
-        feed_misses: n("feed_misses")?,
-        detected: n("detected")?,
-        detect_stalls: n("detect_stalls")?,
-        purged_candidates: n("purged_candidates")?,
-        duplicate_candidates: n("duplicate_candidates")?,
-        crawl_jobs: n("crawl_jobs")?,
-        first_crawls: n("first_crawls")?,
-        recrawls: n("recrawls")?,
-        live_found: n("live_found")?,
-        dead_found: n("dead_found")?,
-        takedowns: n("takedowns")?,
-        churn_takedowns: n("churn_takedowns")?,
-        blacklisted: n("blacklisted")?,
-    };
-    let t = v.get("transport")?;
-    let tn = |key: &str| t.get(key).and_then(json::Value::as_u64);
-    state.transport = TransportSnapshot {
-        attempts: tn("attempts")?,
-        successes: tn("successes")?,
-        retries: tn("retries")?,
-        backoff_ns: tn("backoff_ns")?,
-        errors: decode_u64x4(t.get("errors")?)?,
-        injected: decode_u64x4(t.get("injected")?)?,
-        breaker_trips: tn("breaker_trips")?,
-        breaker_short_circuits: tn("breaker_short_circuits")?,
-        fetch_deadline_hits: tn("fetch_deadline_hits")?,
-        crawl_deadline_hits: tn("crawl_deadline_hits")?,
-    };
-    for seq in v.get("ingest")?.as_arr()? {
-        state.ingest.push_back(seq.as_u64()?);
-    }
-    for c in v.get("candidates")?.as_arr()? {
-        state.candidates.push_back(Candidate {
-            seq: c.get("seq")?.as_u64()?,
-            domain: c.get("domain")?.as_str()?.to_string(),
-            brand: c.get("brand")?.as_usize()?,
-            squat_type: parse_squat_type(c.get("type")?.as_str()?)?,
-            ip: decode_ip(c.get("ip")?)?,
-            detected_tick: c.get("detected_tick")?.as_u64()?,
+impl WatchState {
+    /// Persists the full daemon state as the next watermark generation
+    /// (after the informational header), advancing the watermark.
+    fn checkpoint(&mut self, store: &CheckpointStore) -> Result<(), CheckpointError> {
+        self.last_checkpoint = self.next_seq;
+        let candidates = self.candidates.iter().map(|c| {
+            let mut obj = Json::obj();
+            obj.push("seq", Json::U64(c.seq))
+                .push("domain", text(&c.domain))
+                .push("brand", Json::U64(c.brand as u64))
+                .push("type", text(c.squat_type.name()))
+                .push("ip", ip_json(c.ip))
+                .push("detected_tick", Json::U64(c.detected_tick));
+            obj
         });
+        let tracked = self.tracked.iter().map(|(domain, t)| {
+            let mut obj = Json::obj();
+            obj.push("domain", text(domain))
+                .push("brand", Json::U64(t.brand as u64))
+                .push("type", text(t.squat_type.name()))
+                .push("ip", ip_json(t.ip))
+                .push("first_live_tick", Json::U64(t.first_live_tick))
+                .push("crawls", Json::U64(t.crawls))
+                .push(
+                    "blacklist_day",
+                    t.blacklist_day.map_or(Json::Null, |d| Json::U64(d.into())),
+                )
+                .push("blacklisted", Json::U64(t.blacklisted.into()));
+            obj
+        });
+        let schedule = self.scheduler.entries().map(|(due, domain)| {
+            let mut obj = Json::obj();
+            obj.push("due", Json::U64(due)).push("domain", text(domain));
+            obj
+        });
+        let counters = self
+            .counters
+            .fields()
+            .map(|(name, v)| (name.into(), Json::U64(v)));
+        let mut body = store.header(WATCH_VERSION);
+        body.push("next_seq", Json::U64(self.next_seq))
+            .push("tick", Json::U64(self.tick))
+            .push("last_checkpoint", Json::U64(self.last_checkpoint))
+            .push("counters", Json::Obj(counters.into()))
+            .push("transport", transport_json(&self.transport))
+            .push(
+                "ingest",
+                Json::Arr(self.ingest.iter().map(|&seq| Json::U64(seq)).collect()),
+            )
+            .push("candidates", Json::Arr(candidates.collect()))
+            .push("tracked", Json::Arr(tracked.collect()))
+            .push("schedule", Json::Arr(schedule.collect()))
+            .push(
+                "metrics",
+                Json::Arr(self.metrics.iter().map(WatchMetrics::to_json).collect()),
+            );
+        store.save(WATERMARK, &body)
     }
-    for t in v.get("tracked")?.as_arr()? {
-        let blacklist_day = t.get("blacklist_day")?;
-        state.tracked.insert(
-            t.get("domain")?.as_str()?.to_string(),
-            Tracked {
-                brand: t.get("brand")?.as_usize()?,
-                squat_type: parse_squat_type(t.get("type")?.as_str()?)?,
-                ip: decode_ip(t.get("ip")?)?,
-                first_live_tick: t.get("first_live_tick")?.as_u64()?,
-                crawls: t.get("crawls")?.as_u64()?,
-                blacklist_day: if blacklist_day.is_null() {
-                    None
-                } else {
-                    Some(u32::try_from(blacklist_day.as_u64()?).ok()?)
+
+    /// Reads a watermark body back; `None` when it does not have the
+    /// shape [`WatchState::checkpoint`] writes.
+    fn decode(v: &Json) -> Option<WatchState> {
+        let mut state = WatchState {
+            next_seq: v.get("next_seq")?.as_u64()?,
+            tick: v.get("tick")?.as_u64()?,
+            last_checkpoint: v.get("last_checkpoint")?.as_u64()?,
+            transport: decode_transport(v.get("transport")?)?,
+            ..WatchState::default()
+        };
+        let counters = v.get("counters")?;
+        for (name, slot) in state.counters.fields_mut() {
+            *slot = counters.get(name)?.as_u64()?;
+        }
+        for seq in v.get("ingest")?.as_arr()? {
+            state.ingest.push_back(seq.as_u64()?);
+        }
+        for c in v.get("candidates")?.as_arr()? {
+            state.candidates.push_back(Candidate {
+                seq: c.get("seq")?.as_u64()?,
+                domain: c.get("domain")?.as_str()?.to_string(),
+                brand: c.get("brand")?.as_usize()?,
+                squat_type: decode_squat_type(c.get("type")?)?,
+                ip: decode_ip(c.get("ip")?)?,
+                detected_tick: c.get("detected_tick")?.as_u64()?,
+            });
+        }
+        for t in v.get("tracked")?.as_arr()? {
+            let blacklist_day = t.get("blacklist_day")?;
+            state.tracked.insert(
+                t.get("domain")?.as_str()?.to_string(),
+                Tracked {
+                    brand: t.get("brand")?.as_usize()?,
+                    squat_type: decode_squat_type(t.get("type")?)?,
+                    ip: decode_ip(t.get("ip")?)?,
+                    first_live_tick: t.get("first_live_tick")?.as_u64()?,
+                    crawls: t.get("crawls")?.as_u64()?,
+                    blacklist_day: if blacklist_day.is_null() {
+                        None
+                    } else {
+                        Some(u32::try_from(blacklist_day.as_u64()?).ok()?)
+                    },
+                    blacklisted: t.get("blacklisted")?.as_u64()? != 0,
                 },
-                blacklisted: t.get("blacklisted")?.as_u64()? != 0,
-            },
-        );
+            );
+        }
+        for e in v.get("schedule")?.as_arr()? {
+            state
+                .scheduler
+                .schedule(e.get("due")?.as_u64()?, e.get("domain")?.as_str()?);
+        }
+        for m in v.get("metrics")?.as_arr()? {
+            let mut metrics = WatchMetrics::default();
+            for (name, slot) in metrics.fields_mut() {
+                *slot = m.get(name)?.as_u64()?;
+            }
+            state.metrics.push(metrics);
+        }
+        Some(state)
     }
-    for e in v.get("schedule")?.as_arr()? {
-        state
-            .scheduler
-            .schedule(e.get("due")?.as_u64()?, e.get("domain")?.as_str()?);
-    }
-    for m in v.get("metrics")?.as_arr()? {
-        let mn = |key: &str| m.get(key).and_then(json::Value::as_u64);
-        state.metrics.push(WatchMetrics {
-            tick: mn("tick")?,
-            injected: mn("injected")?,
-            processed: mn("processed")?,
-            ingest_depth: mn("ingest_depth")?,
-            candidate_depth: mn("candidate_depth")?,
-            dropped: mn("dropped")?,
-            stalls: mn("stalls")?,
-            detected: mn("detected")?,
-            tracked: mn("tracked")?,
-            blacklisted: mn("blacklisted")?,
-        });
-    }
-    Some(state)
-}
-
-fn decode_u64x4(v: &json::Value) -> Option<[u64; 4]> {
-    let arr = v.as_arr()?;
-    if arr.len() != 4 {
-        return None;
-    }
-    Some([
-        arr[0].as_u64()?,
-        arr[1].as_u64()?,
-        arr[2].as_u64()?,
-        arr[3].as_u64()?,
-    ])
-}
-
-fn decode_ip(v: &json::Value) -> Option<Ipv4Addr> {
-    let arr = v.as_arr()?;
-    if arr.len() != 4 {
-        return None;
-    }
-    let octet = |i: usize| arr[i].as_u64().and_then(|n| u8::try_from(n).ok());
-    Some(Ipv4Addr::new(octet(0)?, octet(1)?, octet(2)?, octet(3)?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
+
+    fn open_store(dir: &Path, config: &WatchConfig) -> CheckpointStore {
+        CheckpointStore::open(dir, watch_config_hash(config), &DiskFaultPlan::none())
+            .expect("open store")
+    }
 
     fn tiny() -> WatchConfig {
         WatchConfig::builder()
@@ -1790,7 +1607,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("squatphi-watch-rt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = tiny();
-        let store = WatchStore::open(&dir, &config, &DiskFaultPlan::none()).expect("open store");
+        let store = open_store(&dir, &config);
         // Build a non-trivial state by running half the stream.
         let opts = WatchOptions {
             checkpoint_dir: Some(dir.clone()),
@@ -1798,12 +1615,50 @@ mod tests {
             ..WatchOptions::default()
         };
         let partial = SquatPhi::try_watch(&config, &opts).expect("partial run");
-        let Loaded::Value(loaded) = store.load().expect("load") else {
+        let Loaded::Value(loaded) = store.load(WATERMARK, WatchState::decode).expect("load") else {
             panic!("expected a valid checkpoint");
         };
         assert_eq!(loaded.fingerprint(), partial.state_fingerprint);
         assert!(partial.durability.reconciles());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A body in the exact layout the hand-built pretty writer of
+    /// `WATCH_VERSION` 1 produced (one field per line, `", "` separators,
+    /// empty lists as `[\n\n]`) still decodes, so watermark directories
+    /// written before the move to compact bodies keep resuming.
+    #[test]
+    fn version_1_pretty_layout_watermark_decodes() {
+        let body = "{\n\"version\": 1,\n\"config_hash\": 10456505215242532270,\n\
+            \"next_seq\": 900,\n\"tick\": 180,\n\"last_checkpoint\": 900,\n\
+            \"counters\": {\"injected\": 900, \"accepted\": 900, \"dropped_registrations\": 0, \"dropped_churn\": 0, \"dropped_feed\": 0, \"processed\": 802, \"registrations\": 681, \"churn_hits\": 8, \"churn_misses\": 82, \"feed_hits\": 0, \"feed_misses\": 31, \"detected\": 209, \"detect_stalls\": 67, \"purged_candidates\": 2, \"duplicate_candidates\": 1, \"crawl_jobs\": 355, \"first_crawls\": 178, \"recrawls\": 177, \"live_found\": 140, \"dead_found\": 38, \"takedowns\": 79, \"churn_takedowns\": 8, \"blacklisted\": 1},\n\
+            \"transport\": {\"attempts\": 1052, \"successes\": 476, \"retries\": 1152, \"backoff_ns\": 47892649935, \"errors\": [0, 1440, 0, 0], \"injected\": [0, 0, 0, 0], \"breaker_trips\": 144, \"breaker_short_circuits\": 144, \"fetch_deadline_hits\": 0, \"crawl_deadline_hits\": 0},\n\
+            \"ingest\": [802, 803],\n\
+            \"candidates\": [\n\
+            {\"seq\": 710, \"domain\": \"xn--cico-1h5a.ml\", \"brand\": 31, \"type\": \"Homograph\", \"ip\": [214, 240, 158, 118], \"detected_tick\": 153}\n],\n\
+            \"tracked\": [\n\
+            {\"domain\": \"0citi.net\", \"brand\": 12, \"type\": \"Typo\", \"ip\": [11, 15, 167, 227], \"first_live_tick\": 108, \"crawls\": 3, \"blacklist_day\": null, \"blacklisted\": 0},\n\
+            {\"domain\": \"allinacebank.pw\", \"brand\": 22, \"type\": \"Typo\", \"ip\": [145, 119, 4, 105], \"first_live_tick\": 168, \"crawls\": 1, \"blacklist_day\": 4, \"blacklisted\": 1}\n],\n\
+            \"schedule\": [\n\n],\n\
+            \"metrics\": [\n\
+            {\"tick\": 4, \"injected\": 20, \"processed\": 20, \"ingest_depth\": 0, \"candidate_depth\": 2, \"dropped\": 0, \"stalls\": 0, \"detected\": 6, \"tracked\": 4, \"blacklisted\": 0}\n]\n}\n";
+        let state = WatchState::decode(&Json::parse(body).expect("parses"))
+            .expect("version 1 body decodes");
+        assert_eq!(
+            (state.next_seq, state.tick, state.last_checkpoint),
+            (900, 180, 900)
+        );
+        assert_eq!(state.counters.processed, 802);
+        assert_eq!(state.counters.blacklisted, 1);
+        assert_eq!(state.transport.backoff_ns, 47892649935);
+        assert_eq!(state.transport.errors, [0, 1440, 0, 0]);
+        assert_eq!(state.ingest, [802, 803]);
+        assert_eq!(state.candidates[0].ip, Ipv4Addr::new(214, 240, 158, 118));
+        let cut = &state.tracked["allinacebank.pw"];
+        assert_eq!((cut.blacklist_day, cut.blacklisted), (Some(4), true));
+        assert_eq!(state.tracked["0citi.net"].blacklist_day, None);
+        assert_eq!(state.scheduler.len(), 0);
+        assert_eq!(state.metrics[0].candidate_depth, 2);
     }
 
     #[test]
@@ -1824,8 +1679,11 @@ mod tests {
             .events(240)
             .build()
             .expect("other config");
-        let store = WatchStore::open(&dir, &other, &DiskFaultPlan::none()).expect("open store");
-        assert!(matches!(store.load().expect("load"), Loaded::Stale));
+        let store = open_store(&dir, &other);
+        assert!(matches!(
+            store.load(WATERMARK, WatchState::decode).expect("load"),
+            Loaded::Stale
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1894,9 +1752,9 @@ mod tests {
             std::env::temp_dir().join(format!("squatphi-watch-corrupt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let config = tiny();
-        let store = WatchStore::open(&dir, &config, &DiskFaultPlan::none()).expect("open store");
+        let store = open_store(&dir, &config);
         corrupt_generation(&dir, "watch.g1.ckpt");
-        match store.load() {
+        match store.load(WATERMARK, WatchState::decode) {
             Err(CheckpointError::Unrecoverable { name, detail, .. }) => {
                 assert_eq!(name, "watch");
                 assert!(detail.contains("g1"), "detail: {detail}");

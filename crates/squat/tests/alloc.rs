@@ -4,20 +4,33 @@
 //!
 //! Integration test on purpose: a `#[global_allocator]` is process-wide,
 //! so it lives in its own test binary where it cannot distort the unit
-//! tests' behavior or timings.
+//! tests' behavior or timings. The count itself is per thread: sibling
+//! tests run concurrently on other threads of this binary, and their
+//! allocations must not land in the measured window.
 
 use squatphi_domain::DomainName;
 use squatphi_squat::{BrandRegistry, ClassifyStats, SquatDetector, SquatType};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. A `const`-initialised
+    /// `Cell<u64>` needs no destructor and allocates nothing itself, so it
+    /// is safe to touch from inside the allocator.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with` fails only while the thread is being torn down; such
+    // allocations belong to no measured window.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -26,7 +39,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -34,11 +47,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Heap allocations performed while running `f`.
+/// Heap allocations the calling thread performs while running `f`.
 fn allocations_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     let out = f();
-    (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    (ALLOCATIONS.with(Cell::get) - before, out)
 }
 
 #[test]

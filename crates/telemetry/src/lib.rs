@@ -8,8 +8,10 @@
 //!   and RAII [`Span`] timers under dotted names, with [`Scope`] prefixing.
 //! * [`Snapshot`] — a sorted point-in-time copy; renders as a stable nested
 //!   JSON tree, so two identical runs produce byte-identical output.
-//! * [`Json`] — the one hand-rolled JSON encoder (the workspace builds
-//!   offline, serde-free); ordered objects, deterministic float formatting.
+//! * [`Json`] — the one hand-rolled JSON codec (the workspace builds
+//!   offline, serde-free); ordered objects, deterministic float formatting,
+//!   a pretty and a compact rendering, and the reader every durable state
+//!   is loaded through.
 //! * [`Invariant`] / [`InvariantSet`] — conservation identities as data,
 //!   checked centrally with a structured [`Violation`] report; the
 //!   workspace's canonical sets live in [`invariants`].

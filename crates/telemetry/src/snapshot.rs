@@ -192,7 +192,7 @@ impl<'a> Tree<'a> {
             obj.push("_value", value.to_json());
         }
         for (key, child) in &self.children {
-            obj.push(key, child.to_json());
+            obj.push(key.to_string(), child.to_json());
         }
         obj
     }

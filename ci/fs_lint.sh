@@ -14,7 +14,6 @@ ALLOWED='
 crates/cli/src/commands.rs
 crates/experiments/src/main.rs
 crates/bench/src/bin/scan_baseline.rs
-crates/bench/src/bin/crawl_baseline.rs
 crates/bench/src/bin/features_baseline.rs
 crates/bench/src/bin/phash_baseline.rs
 '

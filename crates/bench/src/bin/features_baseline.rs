@@ -119,6 +119,7 @@ fn main() {
     }
 
     let mut doc = Json::obj();
+    doc.push("host", squatphi_bench::host());
     doc.push("workload", workload_obj);
     doc.push("iterations", Json::U64(iterations as u64));
     doc.push("runs", Json::Arr(runs));

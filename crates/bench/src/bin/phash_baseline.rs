@@ -185,6 +185,7 @@ fn main() {
     }
 
     let mut doc = Json::obj();
+    doc.push("host", squatphi_bench::host());
     doc.push("workload", workload);
     doc.push("iterations", Json::U64(iterations as u64));
     doc.push("runs", Json::Arr(runs));

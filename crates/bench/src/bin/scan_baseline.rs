@@ -19,9 +19,11 @@
 //! the baseline cannot drift from the `--json` schema. Timing values are
 //! deliberately kept — measuring them is the point of a benchmark.
 //!
-//! `--assert-scaling` exits non-zero if the 8-thread records/sec falls
-//! below the 1-thread number (the flat-scaling regression PR 6 fixed);
-//! the CI scan-bench smoke runs with it.
+//! `--assert-scaling` exits non-zero if the records/sec at
+//! `min(8, available_parallelism)` threads falls below the 1-thread
+//! number (the flat-scaling regression the sharded scan fixed); threads
+//! past the host's cores cannot add throughput, so they are not judged.
+//! The CI scan-bench smoke runs with it.
 
 use squatphi_dnsdb::{scan_with_metrics, synth, ScanMetrics, SnapshotConfig};
 use squatphi_squat::{BrandRegistry, SquatDetector};
@@ -64,7 +66,10 @@ fn main() {
     workload.push("squatting_records", Json::U64(cfg.squatting_records as u64));
     workload.push("seed", Json::U64(cfg.seed));
 
-    let thread_counts = [1usize, 2, 4, 8];
+    let top = squatphi_bench::available_parallelism().min(8);
+    let mut thread_counts = vec![1usize, 2, 4, 8, top];
+    thread_counts.sort_unstable();
+    thread_counts.dedup();
     let mut per_thread_rps = Vec::new();
     let mut runs = Vec::new();
     for &threads in &thread_counts {
@@ -115,6 +120,7 @@ fn main() {
     }
 
     let mut doc = Json::obj();
+    doc.push("host", squatphi_bench::host());
     doc.push("workload", workload);
     doc.push("iterations", Json::U64(iterations as u64));
     doc.push("runs", Json::Arr(runs));
@@ -127,25 +133,23 @@ fn main() {
     eprintln!("[scan_baseline] baseline written to {out_path}");
 
     if assert_scaling {
-        let rps_1 = per_thread_rps
-            .iter()
-            .find(|(t, _)| *t == 1)
-            .map(|(_, r)| *r)
-            .expect("1-thread run present");
-        let rps_8 = per_thread_rps
-            .iter()
-            .find(|(t, _)| *t == 8)
-            .map(|(_, r)| *r)
-            .expect("8-thread run present");
-        if rps_8 < rps_1 {
+        let rps = |threads: usize| {
+            per_thread_rps
+                .iter()
+                .find(|(t, _)| *t == threads)
+                .map(|(_, r)| *r)
+                .expect("every judged thread count was run")
+        };
+        let (rps_1, rps_top) = (rps(1), rps(top));
+        if rps_top < rps_1 {
             eprintln!(
-                "[scan_baseline] FAIL: 8-thread throughput ({rps_8:.0} rec/s) regressed below \
-                 1-thread ({rps_1:.0} rec/s)"
+                "[scan_baseline] FAIL: {top}-thread throughput ({rps_top:.0} rec/s) regressed \
+                 below 1-thread ({rps_1:.0} rec/s)"
             );
             std::process::exit(3);
         }
         eprintln!(
-            "[scan_baseline] scaling OK: 8-thread {rps_8:.0} rec/s >= 1-thread {rps_1:.0} rec/s"
+            "[scan_baseline] scaling OK: {top}-thread {rps_top:.0} rec/s >= 1-thread {rps_1:.0} rec/s"
         );
     }
 }

@@ -3,8 +3,50 @@
 #![forbid(unsafe_code)]
 
 use squatphi_squat::BrandRegistry;
+use squatphi_telemetry::Json;
 use squatphi_web::behavior::{Cloaking, LifetimePattern, PhishingProfile, ScamKind};
 use squatphi_web::pages;
+use std::process::Command;
+
+/// Cores the scheduler lets this process use.
+pub fn available_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// First line of a command's standard output, `"unknown"` when the
+/// command is missing or fails.
+fn first_line_of(program: &str, args: &[&str]) -> String {
+    Command::new(program)
+        .args(args)
+        .stderr(std::process::Stdio::null())
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .and_then(|s| s.lines().next().map(str::to_string))
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
+/// The host header every `BENCH_*.json` writer puts first: cores
+/// available, `rustc -V` of the toolchain on `PATH`, and the git revision
+/// of the working directory (suffixed `-dirty` when it has uncommitted
+/// changes). Two baselines compare only when these agree.
+pub fn host() -> Json {
+    let mut host = Json::obj();
+    host.push(
+        "available_parallelism",
+        Json::U64(available_parallelism() as u64),
+    );
+    host.push("rustc", Json::Str(first_line_of("rustc", &["-V"])));
+    host.push(
+        "git_revision",
+        Json::Str(first_line_of(
+            "git",
+            &["describe", "--always", "--dirty", "--abbrev=40"],
+        )),
+    );
+    host
+}
 
 /// A mid-sized registry shared by benches (full 702 where scan realism
 /// matters, smaller where per-item cost is measured).

@@ -239,8 +239,11 @@ impl FeatureExtractor {
     }
 
     /// Extracts features for many pages: parallel analysis (stage 1),
-    /// then sequential embedding (stage 2 — pure in-memory lookups, far
-    /// cheaper than rendering, and sequential keeps it deterministic).
+    /// then sequential embedding (stage 2 — spell correction of the OCR
+    /// tokens plus keyword lookups; sequential keeps it deterministic).
+    /// Embedding is cheap but not free: on a traced `repro-tenth` call
+    /// (2 vCPUs) it costs about 0.02 s busy against 0.13 s for pHash
+    /// (DESIGN.md §8, "Kernel costs").
     pub fn extract_batch(&self, htmls: &[&str], threads: usize) -> Vec<SparseVec> {
         self.analyze_batch(htmls, threads)
             .iter()

@@ -16,6 +16,7 @@
 pub mod index;
 
 use squatphi_render::Bitmap;
+use std::sync::OnceLock;
 
 /// A 64-bit perceptual hash.
 ///
@@ -86,29 +87,54 @@ pub fn difference_hash(bmp: &Bitmap) -> ImageHash {
     ImageHash(bits)
 }
 
-/// 2-D DCT-II of an n×n matrix (naive O(n³), fine for n = 32).
-fn dct2d(input: &[f64], n: usize) -> Vec<f64> {
-    // Separable: rows then columns.
-    let mut rows = vec![0.0; n * n];
-    for y in 0..n {
-        for u in 0..n {
-            let mut sum = 0.0;
-            for x in 0..n {
-                sum += input[y * n + x]
-                    * ((std::f64::consts::PI / n as f64) * (x as f64 + 0.5) * u as f64).cos();
+/// Side of the resampled image the DCT runs on.
+const N: usize = 32;
+/// Side of the low-frequency block the hash thresholds.
+const LOW: usize = 8;
+
+/// The DCT-II cosine basis, `basis[u * N + x] = cos(π/N · (x + ½) · u)`,
+/// built once. Each entry is the exact expression the naive transform
+/// evaluates inside its loop, so table lookups are bit-identical to it.
+fn basis() -> &'static [f64; N * N] {
+    static BASIS: OnceLock<[f64; N * N]> = OnceLock::new();
+    BASIS.get_or_init(|| {
+        let mut table = [0.0; N * N];
+        for u in 0..N {
+            for x in 0..N {
+                table[u * N + x] =
+                    ((std::f64::consts::PI / N as f64) * (x as f64 + 0.5) * u as f64).cos();
             }
-            rows[y * n + u] = sum;
+        }
+        table
+    })
+}
+
+/// Top-left `LOW`×`LOW` block of the 2-D DCT-II of an `N`×`N` matrix,
+/// row-major by frequency (`block[v * LOW + u]`).
+///
+/// Separable: rows then columns, summing in the same order as a full
+/// transform, so every coefficient is bit-identical to the full DCT's.
+/// Only the low frequencies the hash reads are computed.
+fn dct2d(input: &[f64]) -> [f64; LOW * LOW] {
+    let basis = basis();
+    let mut rows = [0.0; N * LOW];
+    for y in 0..N {
+        for u in 0..LOW {
+            let mut sum = 0.0;
+            for x in 0..N {
+                sum += input[y * N + x] * basis[u * N + x];
+            }
+            rows[y * LOW + u] = sum;
         }
     }
-    let mut out = vec![0.0; n * n];
-    for u in 0..n {
-        for v in 0..n {
+    let mut out = [0.0; LOW * LOW];
+    for u in 0..LOW {
+        for v in 0..LOW {
             let mut sum = 0.0;
-            for y in 0..n {
-                sum += rows[y * n + u]
-                    * ((std::f64::consts::PI / n as f64) * (y as f64 + 0.5) * v as f64).cos();
+            for y in 0..N {
+                sum += rows[y * LOW + u] * basis[v * N + y];
             }
-            out[v * n + u] = sum;
+            out[v * LOW + u] = sum;
         }
     }
     out
@@ -118,17 +144,10 @@ fn dct2d(input: &[f64], n: usize) -> Vec<f64> {
 /// the paper's distances (7 / 24 / 38 for increasingly obfuscated pages)
 /// are produced by this family of hashes.
 pub fn perceptual_hash(bmp: &Bitmap) -> ImageHash {
-    const N: usize = 32;
     let small = bmp.resample(N, N);
     let input: Vec<f64> = small.pixels().iter().map(|&p| p as f64).collect();
-    let coeffs = dct2d(&input, N);
-    // Top-left 8×8 block, skipping the DC coefficient for the median.
-    let mut block = [0.0f64; 64];
-    for y in 0..8 {
-        for x in 0..8 {
-            block[y * 8 + x] = coeffs[y * N + x];
-        }
-    }
+    let block = dct2d(&input);
+    // Median of the top-left 8×8 block, skipping the DC coefficient.
     let mut sorted: Vec<f64> = block[1..].to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite DCT coefficients"));
     let median = sorted[sorted.len() / 2];
@@ -159,6 +178,66 @@ mod tests {
             }
         }
         b
+    }
+
+    /// The naive O(n³) transform `dct2d` replaced: the full n×n DCT-II,
+    /// one `cos()` per multiply.
+    fn naive_dct2d(input: &[f64], n: usize) -> Vec<f64> {
+        let mut rows = vec![0.0; n * n];
+        for y in 0..n {
+            for u in 0..n {
+                let mut sum = 0.0;
+                for x in 0..n {
+                    sum += input[y * n + x]
+                        * ((std::f64::consts::PI / n as f64) * (x as f64 + 0.5) * u as f64).cos();
+                }
+                rows[y * n + u] = sum;
+            }
+        }
+        let mut out = vec![0.0; n * n];
+        for u in 0..n {
+            for v in 0..n {
+                let mut sum = 0.0;
+                for y in 0..n {
+                    sum += rows[y * n + u]
+                        * ((std::f64::consts::PI / n as f64) * (y as f64 + 0.5) * v as f64).cos();
+                }
+                out[v * n + u] = sum;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn table_dct_is_bit_identical_to_the_naive_transform() {
+        let mut inked = Bitmap::new(64, 64);
+        inked.fill_rect(0, 0, 64, 64, 255);
+        let mut blotched = textured(7);
+        blotched.fill_rect(10, 20, 9, 5, 0);
+        let cases = [
+            Bitmap::new(64, 64), // blank (all white)
+            inked,               // all black
+            textured(1),
+            textured(200),
+            blotched,
+            textured(3).resample(128, 96),
+            textured(4).resample(33, 31),
+        ];
+        for bmp in &cases {
+            let small = bmp.resample(N, N);
+            let input: Vec<f64> = small.pixels().iter().map(|&p| p as f64).collect();
+            let naive = naive_dct2d(&input, N);
+            let block = dct2d(&input);
+            for v in 0..LOW {
+                for u in 0..LOW {
+                    assert_eq!(
+                        block[v * LOW + u].to_bits(),
+                        naive[v * N + u].to_bits(),
+                        "coefficient ({u}, {v})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

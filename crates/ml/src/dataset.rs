@@ -93,17 +93,6 @@ impl Dataset {
         }
         (train, test)
     }
-
-    /// Bootstrap sample (with replacement) of the same size; returns the
-    /// sampled dataset.
-    pub fn bootstrap(&self, rng: &mut StdRng) -> Dataset {
-        let mut out = Dataset::new(self.dim);
-        for _ in 0..self.len() {
-            let i = rng.gen_range(0..self.len());
-            out.push(self.xs[i].clone(), self.ys[i]);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -151,14 +140,6 @@ mod tests {
         let d = data(30, 30);
         assert_eq!(d.stratified_folds(10, 7), d.stratified_folds(10, 7));
         assert_ne!(d.stratified_folds(10, 7), d.stratified_folds(10, 8));
-    }
-
-    #[test]
-    fn bootstrap_same_size() {
-        let d = data(20, 20);
-        let mut rng = StdRng::seed_from_u64(3);
-        let b = d.bootstrap(&mut rng);
-        assert_eq!(b.len(), d.len());
     }
 
     #[test]

@@ -83,14 +83,62 @@ impl Tree {
     }
 }
 
-/// Index-based view of the training data used during tree construction.
+/// The training data as the split search reads it: features densified
+/// column-major, so sample `i` of a feature is `col[i]` instead of a
+/// binary search in its sparse vector. Built once per fit and shared by
+/// every tree; a tree's bootstrap is a list of row ids into it. Features
+/// no sample sets are all zero and get no column: they can never split.
 struct Builder<'a> {
-    data: &'a Dataset,
+    /// `slot[f]`: the column of feature `f`, `None` when no sample sets it.
+    slot: Vec<Option<usize>>,
+    /// Column `c` is `cols[c * n..(c + 1) * n]`.
+    cols: Vec<f64>,
+    ys: Vec<bool>,
+    n: usize,
     cfg: &'a RandomForestConfig,
-    features: usize,
 }
 
-impl Builder<'_> {
+impl<'a> Builder<'a> {
+    fn new(data: &Dataset, cfg: &'a RandomForestConfig) -> Self {
+        let (n, dim) = (data.len(), data.dim());
+        // `get` never reads past `dim`, so neither does the matrix.
+        fn within(x: &SparseVec, dim: usize) -> &[(usize, f64)] {
+            let entries = x.entries();
+            &entries[..entries.partition_point(|&(f, _)| f < dim)]
+        }
+        let mut slot = vec![None; dim];
+        for (x, _) in data.iter() {
+            for &(f, _) in within(x, dim) {
+                slot[f] = Some(0);
+            }
+        }
+        for (c, s) in slot.iter_mut().flatten().enumerate() {
+            *s = c;
+        }
+        let active = slot.iter().flatten().count();
+        let mut cols = vec![0.0; active * n];
+        let mut ys = Vec::with_capacity(n);
+        for (i, (x, y)) in data.iter().enumerate() {
+            for &(f, v) in within(x, dim) {
+                if let Some(c) = slot[f] {
+                    cols[c * n + i] = v;
+                }
+            }
+            ys.push(y);
+        }
+        Builder {
+            slot,
+            cols,
+            ys,
+            n,
+            cfg,
+        }
+    }
+
+    fn column(&self, f: usize) -> Option<&[f64]> {
+        self.slot[f].map(|c| &self.cols[c * self.n..(c + 1) * self.n])
+    }
+
     fn gini(pos: usize, total: usize) -> f64 {
         if total == 0 {
             return 0.0;
@@ -106,7 +154,7 @@ impl Builder<'_> {
         rng: &mut StdRng,
         nodes: &mut Vec<TreeNode>,
     ) -> usize {
-        let pos = idx.iter().filter(|&&i| self.data.y(i)).count();
+        let pos = idx.iter().filter(|&&i| self.ys[i]).count();
         let total = idx.len();
         let make_leaf = |nodes: &mut Vec<TreeNode>| {
             nodes.push(TreeNode::Leaf {
@@ -122,22 +170,23 @@ impl Builder<'_> {
             return make_leaf(nodes);
         }
         // Feature subsample.
+        let features = self.slot.len();
         let m = if self.cfg.features_per_split == 0 {
-            (self.features as f64).sqrt().ceil() as usize
+            (features as f64).sqrt().ceil() as usize
         } else {
             self.cfg.features_per_split
         }
-        .clamp(1, self.features);
+        .clamp(1, features);
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, impurity)
         let parent_gini = Self::gini(pos, total);
         for _ in 0..m {
-            let f = rng.gen_range(0..self.features);
+            let f = rng.gen_range(0..features);
+            // An all-zero feature has one candidate value: no threshold.
+            let Some(col) = self.column(f) else {
+                continue;
+            };
             // Candidate thresholds: a few sample values of this feature.
-            let mut values: Vec<f64> = idx
-                .iter()
-                .take(32)
-                .map(|&i| self.data.x(i).get(f))
-                .collect();
+            let mut values: Vec<f64> = idx.iter().take(32).map(|&i| col[i]).collect();
             values.sort_by(f64::total_cmp);
             values.dedup();
             if values.len() < 2 {
@@ -147,9 +196,9 @@ impl Builder<'_> {
                 let threshold = (w[0] + w[1]) / 2.0;
                 let (mut lp, mut lt) = (0usize, 0usize);
                 for &i in idx.iter() {
-                    if self.data.x(i).get(f) <= threshold {
+                    if col[i] <= threshold {
                         lt += 1;
-                        if self.data.y(i) {
+                        if self.ys[i] {
                             lp += 1;
                         }
                     }
@@ -168,9 +217,9 @@ impl Builder<'_> {
         let Some((feature, threshold, _)) = best else {
             return make_leaf(nodes);
         };
-        let (mut left_idx, mut right_idx): (Vec<usize>, Vec<usize>) = idx
-            .iter()
-            .partition(|&&i| self.data.x(i).get(feature) <= threshold);
+        let col = self.column(feature).expect("split features have a column");
+        let (mut left_idx, mut right_idx): (Vec<usize>, Vec<usize>) =
+            idx.iter().partition(|&&i| col[i] <= threshold);
         let at = nodes.len();
         nodes.push(TreeNode::Leaf { p_pos: 0.5 }); // placeholder
         let left = self.build(&mut left_idx, depth + 1, rng, nodes);
@@ -320,15 +369,12 @@ impl Classifier for RandomForest {
         if data.is_empty() {
             return;
         }
+        let builder = Builder::new(data, &self.cfg);
+        let n = data.len();
         let mut rng = StdRng::seed_from_u64(self.cfg.seed);
         for _ in 0..self.cfg.trees {
-            let bag = data.bootstrap(&mut rng);
-            let builder = Builder {
-                data: &bag,
-                cfg: &self.cfg,
-                features: data.dim(),
-            };
-            let mut idx: Vec<usize> = (0..bag.len()).collect();
+            // Bootstrap: n row ids drawn with replacement, in draw order.
+            let mut idx: Vec<usize> = (0..n).map(|_| rng.gen_range(0..n)).collect();
             let mut nodes = Vec::new();
             // The root lands at index 0 because build pushes it first (the
             // placeholder trick keeps child order stable for splits).
@@ -463,5 +509,49 @@ mod tests {
         });
         m.fit(&xor_ish());
         assert_eq!(m.tree_count(), 7);
+    }
+
+    /// A fixed 160-sample, 16-feature dataset: sparse rows over a small
+    /// value set (ties, negatives, -0.0), a noisy label rule, and a few
+    /// entries past `dim` that the forest must ignore.
+    fn pinned_dataset() -> Dataset {
+        let mut rng = StdRng::seed_from_u64(2018);
+        let values = [0.0, -0.0, 0.5, 1.0, 1.0, 2.0, 3.5, -1.0];
+        let mut d = Dataset::new(16);
+        for i in 0..160 {
+            let mut x = SparseVec::new();
+            for _ in 0..rng.gen_range(0..6) {
+                x.add(rng.gen_range(0..16), values[rng.gen_range(0..values.len())]);
+            }
+            if i % 23 == 0 {
+                x.add(16 + i % 3, 9.0);
+            }
+            let y = (x.get(3) + x.get(7) > 1.0) ^ (rng.gen_range(0..10) == 0);
+            d.push(x, y);
+        }
+        d
+    }
+
+    /// 64-bit FNV-1a, to pin a long encoding in one constant.
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn fixed_seed_fit_encodes_as_recorded() {
+        let mut m = RandomForest::new(RandomForestConfig {
+            trees: 9,
+            seed: 11,
+            ..Default::default()
+        });
+        m.fit(&pinned_dataset());
+        let text = m.encode();
+        assert_eq!(
+            (text.len(), fnv1a(text.as_bytes())),
+            (7012, 0xa10c_98f4_6575_536e),
+            "encode() moved from the value recorded before the column-major split search"
+        );
     }
 }

@@ -8,7 +8,7 @@
 # with --resume against whatever the crash left on disk, and asserts the
 # recovered --json summary is byte-identical to an uninterrupted run's.
 # Both durable-state consumers are swept: `squatphi watch` (watermark
-# checkpoints) and `repro` (stage checkpoints).
+# checkpoints) and `squatphi repro` (stage checkpoints).
 #
 # The in-process half of the matrix (panicking crash hook, every K,
 # 1/4/8 threads) lives in crates/core/tests/durable_state.rs.
@@ -19,9 +19,9 @@ CRASH_EXIT=86
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-cargo build --release -p squatphi-cli -p squatphi-experiments
+cargo build --release -p squatphi-cli
 SQUATPHI=target/release/squatphi
-REPRO=target/release/repro
+REPRO="$SQUATPHI repro"
 
 # -- watch: watermark checkpoints ------------------------------------------
 
@@ -51,15 +51,14 @@ done
 
 # -- repro: stage checkpoints (scan, crawl, train) -------------------------
 
-"$REPRO" --scale 2000 --threads 1 --json "$WORK/repro-baseline.json" table7 \
-    > /dev/null 2> "$WORK/repro-baseline.log"
+$REPRO --scale 2000 --threads 1 --json \
+    > "$WORK/repro-baseline.json" 2> "$WORK/repro-baseline.log"
 
 for k in 1 2 3; do
     dir="$WORK/repro-ckpt-$k"
     set +e
-    "$REPRO" --scale 2000 --threads 1 --checkpoint-dir "$dir" \
-        --disk-faults "crash-at-write-$k" --disk-fault-seed "$k" \
-        --json "$WORK/repro-crashed-$k.json" table7 \
+    $REPRO --scale 2000 --threads 1 --checkpoint "$dir" \
+        --disk-faults "crash-at-write-$k" --disk-fault-seed "$k" --json \
         > /dev/null 2> "$WORK/repro-crash-$k.log"
     status=$?
     set -e
@@ -68,9 +67,8 @@ for k in 1 2 3; do
         cat "$WORK/repro-crash-$k.log" >&2
         exit 1
     fi
-    "$REPRO" --scale 2000 --threads 1 --checkpoint-dir "$dir" --resume \
-        --json "$WORK/repro-resumed-$k.json" table7 \
-        > /dev/null 2> "$WORK/repro-resume-$k.log"
+    $REPRO --scale 2000 --threads 1 --checkpoint "$dir" --resume --json \
+        > "$WORK/repro-resumed-$k.json" 2> "$WORK/repro-resume-$k.log"
     if ! cmp "$WORK/repro-baseline.json" "$WORK/repro-resumed-$k.json"; then
         echo "crash_matrix: repro K=$k resumed summary diverged" >&2
         exit 1

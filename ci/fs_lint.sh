@@ -12,7 +12,6 @@ cd "$(dirname "$0")/.."
 # Files grandfathered for report/fixture writes.
 ALLOWED='
 crates/cli/src/commands.rs
-crates/experiments/src/main.rs
 crates/bench/src/bin/scan_baseline.rs
 crates/bench/src/bin/features_baseline.rs
 crates/bench/src/bin/phash_baseline.rs

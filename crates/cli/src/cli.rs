@@ -1,7 +1,14 @@
 //! Argument parsing for the `squatphi` binary (std-only, no clap).
+//!
+//! Every subcommand reads its flags through one cursor, [`Args`], so a
+//! value is fetched, parsed and range-checked the same way everywhere.
+//! The checkpoint group `watch` and `repro` share is parsed and checked
+//! once, by [`CheckpointFlags`].
 
-use squatphi::DiskFaultPlan;
+use squatphi::{DiskFaultPlan, PipelineFaultPlan, PipelineStage};
 use squatphi_crawler::{FaultPlan, FetchClass};
+use squatphi_experiments::EXPERIMENT_IDS;
+use std::str::FromStr;
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,9 +96,8 @@ pub enum Command {
         report: Option<String>,
     },
     /// `squatphi watch [--seed N] [--events N] [--brands N] [--threads N]
-    /// [--stop-after N] [--checkpoint DIR] [--resume]
-    /// [--disk-faults SPEC] [--disk-fault-seed N] [--json]` — run the
-    /// streaming detection daemon over the seeded registration feed.
+    /// [--stop-after N] [CHECKPOINT FLAGS] [--json] [--timings]` — run
+    /// the streaming detection daemon over the seeded registration feed.
     Watch {
         /// Stream + world seed.
         seed: u64,
@@ -104,20 +110,54 @@ pub enum Command {
         /// Stop once this many events have been injected (checkpointing
         /// first when `--checkpoint` is set).
         stop_after: Option<u64>,
-        /// Watermark checkpoint directory.
-        checkpoint_dir: Option<String>,
-        /// Resume from the watermark checkpoint.
-        resume: bool,
-        /// Seeded disk-fault plan injected under the checkpoint store.
-        disk_faults: DiskFaultPlan,
+        /// Watermark checkpoints.
+        checkpoint: CheckpointArgs,
         /// Emit the machine-readable JSON summary instead of the report.
         json: bool,
         /// Keep wall-clock timing values in the JSON (opt-in; virtual
         /// `backoff_ns` totals are deterministic and always included).
         timings: bool,
     },
+    /// `squatphi repro [--list] [--scale N] [--threads N] [--faults SPEC]
+    /// [--fault-seed N] [--fail-fast] [--stop-after STAGE]
+    /// [CHECKPOINT FLAGS] [--json] [--timings] [all | ID...]` — run the
+    /// whole pipeline and regenerate the paper's tables and figures.
+    Repro {
+        /// Experiment ids whose reports are printed, in order.
+        ids: Vec<String>,
+        /// Print the experiment ids instead of running anything.
+        list: bool,
+        /// Haystack scale divisor (`SimConfig::paper_scale`).
+        scale: usize,
+        /// Worker threads (`None` keeps the scale's default).
+        threads: Option<usize>,
+        /// Seeded pipeline fault plan.
+        faults: PipelineFaultPlan,
+        /// Promote the first per-record panic to a run failure.
+        fail_fast: bool,
+        /// Stop after this stage's checkpoint is written.
+        stop_after: Option<PipelineStage>,
+        /// Stage checkpoints.
+        checkpoint: CheckpointArgs,
+        /// Print the run summary JSON instead of the experiment reports.
+        json: bool,
+        /// Keep wall-clock timing values in the JSON (opt-in).
+        timings: bool,
+    },
     /// `squatphi help`.
     Help,
+}
+
+/// The checkpoint flags `watch` and `repro` share: `--checkpoint DIR
+/// --resume --disk-faults SPEC --disk-fault-seed N`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CheckpointArgs {
+    /// Checkpoint directory (`None` = no checkpointing).
+    pub dir: Option<String>,
+    /// Resume from the checkpoints in `dir`.
+    pub resume: bool,
+    /// Seeded disk-fault plan injected under the checkpoint store.
+    pub disk_faults: DiskFaultPlan,
 }
 
 /// Errors from argument parsing.
@@ -134,6 +174,18 @@ impl std::error::Error for CliError {}
 
 fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
+}
+
+fn unexpected(arg: &str) -> CliError {
+    err(format!("unexpected argument {arg:?}"))
+}
+
+/// Fails when `flag` was given without the `needed` flag it depends on.
+fn requires(given: bool, needed: bool, flag: &str, needs: &str) -> Result<(), CliError> {
+    if given && !needed {
+        return Err(err(format!("{flag} requires {needs}")));
+    }
+    Ok(())
 }
 
 /// The usage text.
@@ -160,49 +212,128 @@ USAGE:
                                             (differential, round-trip, fuzz);
                                             exits non-zero on any violation
   squatphi watch [--seed N] [--events N] [--brands N] [--threads N]
-                 [--stop-after N] [--checkpoint DIR] [--resume]
-                 [--disk-faults SPEC] [--disk-fault-seed N] [--json]
-                 [--timings]
+                 [--stop-after N] [CHECKPOINT FLAGS] [--json] [--timings]
                                             streaming detection daemon: ingest
                                             the seeded registration feed through
                                             bounded detect + re-crawl stages
                                             with watermark checkpoints
-                                            (SPEC: comma-separated torn-at-byte-N |
-                                            bitflip-permille-P | enospc-after-N |
-                                            crash-at-write-K clauses, or none)
+  squatphi repro [--list] [--scale N] [--threads N] [--faults SPEC]
+                 [--fault-seed N] [--fail-fast] [--stop-after STAGE]
+                 [CHECKPOINT FLAGS] [--json] [--timings] [all | ID...]
+                                            run the pipeline at 1/N haystack
+                                            scale (default 100), then print the
+                                            named experiments, or with --json
+                                            the run summary (no ids)
+                                            (SPEC: comma-separated
+                                            panic|flaky|poison|truncate
+                                            -permille-P clauses, or none;
+                                            STAGE: scan | crawl | train | detect)
   squatphi help                             this text
+
+CHECKPOINT FLAGS (watch, repro):
+  --checkpoint DIR [--resume] [--disk-faults SPEC] [--disk-fault-seed N]
+                                            persist checkpoints in DIR; resume
+                                            from them; inject seeded disk faults
+                                            under the store (SPEC: comma-separated
+                                            torn-at-byte-N | bitflip-permille-P |
+                                            enospc-after-N | crash-at-write-K
+                                            clauses, or none; crash-at-write
+                                            exits 86)
 
 Every --json surface strips wall-clock timing values by default (one
 telemetry-layer rule), so two identical runs emit byte-identical JSON;
 pass --timings to keep them.
 ";
 
+/// The one cursor every subcommand reads its arguments through.
+struct Args<'a>(std::slice::Iter<'a, String>);
+
+impl<'a> Args<'a> {
+    fn next(&mut self) -> Option<&'a str> {
+        self.0.next().map(String::as_str)
+    }
+
+    /// The value after `flag`; `what` describes it in the error.
+    fn value(&mut self, flag: &str, what: &str) -> Result<&'a str, CliError> {
+        self.next()
+            .ok_or_else(|| err(format!("{flag} needs {what}")))
+    }
+
+    /// The value after `flag`, parsed as a `T`.
+    fn parsed<T: FromStr>(&mut self, flag: &str, what: &str) -> Result<T, CliError> {
+        self.next()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| err(format!("{flag} needs {what}")))
+    }
+
+    /// The value after `flag` as an integer of at least 1.
+    fn positive<T: FromStr + Default + PartialEq>(&mut self, flag: &str) -> Result<T, CliError> {
+        self.next()
+            .and_then(|s| s.parse().ok())
+            .filter(|n| *n != T::default())
+            .ok_or_else(|| err(format!("{flag} needs a positive integer")))
+    }
+}
+
+/// The checkpoint group as given, before its cross-flag checks.
+#[derive(Default)]
+struct CheckpointFlags<'a> {
+    dir: Option<&'a str>,
+    resume: bool,
+    disk_faults: Option<&'a str>,
+    disk_fault_seed: Option<u64>,
+}
+
+impl<'a> CheckpointFlags<'a> {
+    /// Reads `flag` (and its value) if it belongs to the group.
+    fn accept(&mut self, flag: &str, a: &mut Args<'a>) -> Result<bool, CliError> {
+        match flag {
+            "--checkpoint" => self.dir = Some(a.value(flag, "a directory")?),
+            "--resume" => self.resume = true,
+            "--disk-faults" => self.disk_faults = Some(a.value(flag, "a plan spec")?),
+            "--disk-fault-seed" => self.disk_fault_seed = Some(a.parsed(flag, "an integer")?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Resume and disk faults act on the checkpoint store, so they
+    /// require one; a seed requires the plan it seeds.
+    fn finish(self) -> Result<CheckpointArgs, CliError> {
+        let (dir, plan) = (self.dir.is_some(), self.disk_faults.is_some());
+        requires(self.resume, dir, "--resume", "--checkpoint DIR")?;
+        let seeded = self.disk_fault_seed.is_some();
+        requires(seeded, plan, "--disk-fault-seed", "--disk-faults")?;
+        let disk_faults = DiskFaultPlan::parse(self.disk_faults.unwrap_or("none"))
+            .map_err(|e| err(format!("--disk-faults: {e}")))?
+            .with_seed(self.disk_fault_seed.unwrap_or(0));
+        let faulty = !disk_faults.is_none();
+        requires(faulty, dir, "--disk-faults", "--checkpoint DIR")?;
+        Ok(CheckpointArgs {
+            dir: self.dir.map(String::from),
+            resume: self.resume,
+            disk_faults,
+        })
+    }
+}
+
 /// Parses argv (without the program name).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut it = args.iter();
-    let Some(cmd) = it.next() else {
+    let Some((cmd, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
+    let mut a = Args(rest.iter());
     match cmd.as_str() {
         "help" | "--help" | "-h" => Ok(Command::Help),
         "gen" => {
             let mut brand = None;
-            let mut limit = 10usize;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--limit" => {
-                        i += 1;
-                        limit = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| err("--limit needs a positive integer"))?;
-                    }
+            let mut limit = 10;
+            while let Some(arg) = a.next() {
+                match arg {
+                    "--limit" => limit = a.positive(arg)?,
                     other if brand.is_none() => brand = Some(other.to_string()),
-                    other => return Err(err(format!("unexpected argument {other:?}"))),
+                    other => return Err(unexpected(other)),
                 }
-                i += 1;
             }
             Ok(Command::Gen {
                 brand: brand.ok_or_else(|| err("gen needs a brand label"))?,
@@ -210,107 +341,60 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "classify" => {
-            let domains: Vec<String> = it.cloned().collect();
-            if domains.is_empty() {
+            if rest.is_empty() {
                 return Err(err("classify needs at least one domain"));
             }
-            Ok(Command::Classify { domains })
+            Ok(Command::Classify {
+                domains: rest.to_vec(),
+            })
         }
         "scan" => {
             let mut path = None;
             let mut type_filter = None;
-            let mut threads = 8usize;
-            let mut json = false;
-            let mut timings = false;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--type" => {
-                        i += 1;
-                        type_filter = Some(
-                            rest.get(i)
-                                .ok_or_else(|| err("--type needs a value"))?
-                                .to_string(),
-                        );
-                    }
-                    "--threads" => {
-                        i += 1;
-                        threads = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| err("--threads needs a positive integer"))?;
-                    }
+            let mut threads = 8;
+            let (mut json, mut timings) = (false, false);
+            while let Some(arg) = a.next() {
+                match arg {
+                    "--type" => type_filter = Some(a.value(arg, "a value")?.to_string()),
+                    "--threads" => threads = a.positive(arg)?,
                     "--json" => json = true,
                     "--timings" => timings = true,
                     other if path.is_none() => path = Some(other.to_string()),
-                    other => return Err(err(format!("unexpected argument {other:?}"))),
+                    other => return Err(unexpected(other)),
                 }
-                i += 1;
             }
             Ok(Command::Scan {
                 path: path.ok_or_else(|| err("scan needs a zone-file path"))?,
                 type_filter,
-                threads: threads.max(1),
+                threads,
                 json,
                 timings,
             })
         }
         "crawl" => {
             let mut path = None;
-            let mut threads = 8usize;
-            let mut retries = 1usize;
-            let mut chaos: Option<String> = None;
-            let mut seed = 0u64;
-            let mut json = false;
-            let mut timings = false;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--threads" => {
-                        i += 1;
-                        threads = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| err("--threads needs a positive integer"))?;
-                    }
-                    "--retries" => {
-                        i += 1;
-                        retries = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| err("--retries needs a non-negative integer"))?;
-                    }
-                    "--chaos" => {
-                        i += 1;
-                        chaos = Some(
-                            rest.get(i)
-                                .ok_or_else(|| err("--chaos needs MODE[:CLASS]"))?
-                                .to_string(),
-                        );
-                    }
-                    "--seed" => {
-                        i += 1;
-                        seed = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| err("--seed needs an integer"))?;
-                    }
+            let mut threads = 8;
+            let mut retries = 1;
+            let mut chaos = "none";
+            let mut seed = 0;
+            let (mut json, mut timings) = (false, false);
+            while let Some(arg) = a.next() {
+                match arg {
+                    "--threads" => threads = a.positive(arg)?,
+                    "--retries" => retries = a.parsed(arg, "a non-negative integer")?,
+                    "--chaos" => chaos = a.value(arg, "MODE[:CLASS]")?,
+                    "--seed" => seed = a.parsed(arg, "an integer")?,
                     "--json" => json = true,
                     "--timings" => timings = true,
                     other if path.is_none() => path = Some(other.to_string()),
-                    other => return Err(err(format!("unexpected argument {other:?}"))),
+                    other => return Err(unexpected(other)),
                 }
-                i += 1;
             }
-            let plan = parse_fault_plan(chaos.as_deref().unwrap_or("none"), seed)?;
             Ok(Command::Crawl {
                 path: path.ok_or_else(|| err("crawl needs a zone-file path"))?,
                 threads,
                 retries,
-                plan,
+                plan: parse_fault_plan(chaos, seed)?,
                 seed,
                 json,
                 timings,
@@ -319,22 +403,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "page" => {
             let mut path = None;
             let mut brand = None;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--brand" => {
-                        i += 1;
-                        brand = Some(
-                            rest.get(i)
-                                .ok_or_else(|| err("--brand needs a label"))?
-                                .to_string(),
-                        );
-                    }
+            while let Some(arg) = a.next() {
+                match arg {
+                    "--brand" => brand = Some(a.value(arg, "a label")?.to_string()),
                     other if path.is_none() => path = Some(other.to_string()),
-                    other => return Err(err(format!("unexpected argument {other:?}"))),
+                    other => return Err(unexpected(other)),
                 }
-                i += 1;
             }
             Ok(Command::Page {
                 path: path.ok_or_else(|| err("page needs an HTML file path"))?,
@@ -344,21 +418,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         "render" => {
             let mut path = None;
             let mut width = 80usize;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--width" => {
-                        i += 1;
-                        width = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| err("--width needs a positive integer"))?;
-                    }
+            while let Some(arg) = a.next() {
+                match arg {
+                    "--width" => width = a.positive(arg)?,
                     other if path.is_none() => path = Some(other.to_string()),
-                    other => return Err(err(format!("unexpected argument {other:?}"))),
+                    other => return Err(unexpected(other)),
                 }
-                i += 1;
             }
             Ok(Command::Render {
                 path: path.ok_or_else(|| err("render needs an HTML file path"))?,
@@ -366,145 +431,48 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "conformance" => {
-            let mut seed = 1u64;
-            let mut budget = "ci".to_string();
-            let mut json = false;
-            let mut timings = false;
+            let mut seed = 1;
+            let mut budget = "ci";
             let mut report = None;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--seed" => {
-                        i += 1;
-                        seed = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| err("--seed needs an integer"))?;
-                    }
-                    "--budget" => {
-                        i += 1;
-                        budget = rest
-                            .get(i)
-                            .ok_or_else(|| err("--budget needs a value (ci | full)"))?
-                            .to_string();
-                    }
+            let (mut json, mut timings) = (false, false);
+            while let Some(arg) = a.next() {
+                match arg {
+                    "--seed" => seed = a.parsed(arg, "an integer")?,
+                    "--budget" => budget = a.value(arg, "a value (ci | full)")?,
                     "--json" => json = true,
                     "--timings" => timings = true,
-                    "--report" => {
-                        i += 1;
-                        report = Some(
-                            rest.get(i)
-                                .ok_or_else(|| err("--report needs a file path"))?
-                                .to_string(),
-                        );
-                    }
-                    other => return Err(err(format!("unexpected argument {other:?}"))),
+                    "--report" => report = Some(a.value(arg, "a file path")?.to_string()),
+                    other => return Err(unexpected(other)),
                 }
-                i += 1;
             }
             Ok(Command::Conformance {
                 seed,
-                budget,
+                budget: budget.to_string(),
                 json,
                 timings,
                 report,
             })
         }
         "watch" => {
-            let mut seed = 20180401u64;
-            let mut events = 2000u64;
-            let mut brands = 40usize;
-            let mut threads = 4usize;
+            let mut seed = 20180401;
+            let mut events = 2000;
+            let mut brands = 40;
+            let mut threads = 4;
             let mut stop_after = None;
-            let mut checkpoint_dir = None;
-            let mut resume = false;
-            let mut disk_faults_spec: Option<String> = None;
-            let mut disk_fault_seed = 0u64;
-            let mut json = false;
-            let mut timings = false;
-            let rest: Vec<&String> = it.collect();
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--seed" => {
-                        i += 1;
-                        seed = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| err("--seed needs an integer"))?;
-                    }
-                    "--events" => {
-                        i += 1;
-                        events = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| err("--events needs a positive integer"))?;
-                    }
-                    "--brands" => {
-                        i += 1;
-                        brands = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| err("--brands needs a positive integer"))?;
-                    }
-                    "--threads" => {
-                        i += 1;
-                        threads = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .filter(|&n| n > 0)
-                            .ok_or_else(|| err("--threads needs a positive integer"))?;
-                    }
-                    "--stop-after" => {
-                        i += 1;
-                        stop_after = Some(
-                            rest.get(i)
-                                .and_then(|s| s.parse().ok())
-                                .filter(|&n| n > 0)
-                                .ok_or_else(|| err("--stop-after needs a positive integer"))?,
-                        );
-                    }
-                    "--checkpoint" => {
-                        i += 1;
-                        checkpoint_dir = Some(
-                            rest.get(i)
-                                .ok_or_else(|| err("--checkpoint needs a directory"))?
-                                .to_string(),
-                        );
-                    }
-                    "--resume" => resume = true,
-                    "--disk-faults" => {
-                        i += 1;
-                        disk_faults_spec = Some(
-                            rest.get(i)
-                                .ok_or_else(|| err("--disk-faults needs a plan spec"))?
-                                .to_string(),
-                        );
-                    }
-                    "--disk-fault-seed" => {
-                        i += 1;
-                        disk_fault_seed = rest
-                            .get(i)
-                            .and_then(|s| s.parse().ok())
-                            .ok_or_else(|| err("--disk-fault-seed needs an integer"))?;
-                    }
+            let mut checkpoint = CheckpointFlags::default();
+            let (mut json, mut timings) = (false, false);
+            while let Some(arg) = a.next() {
+                match arg {
+                    "--seed" => seed = a.parsed(arg, "an integer")?,
+                    "--events" => events = a.positive(arg)?,
+                    "--brands" => brands = a.positive(arg)?,
+                    "--threads" => threads = a.positive(arg)?,
+                    "--stop-after" => stop_after = Some(a.positive(arg)?),
                     "--json" => json = true,
                     "--timings" => timings = true,
-                    other => return Err(err(format!("unexpected argument {other:?}"))),
+                    other if checkpoint.accept(other, &mut a)? => {}
+                    other => return Err(unexpected(other)),
                 }
-                i += 1;
-            }
-            if resume && checkpoint_dir.is_none() {
-                return Err(err("--resume requires --checkpoint DIR"));
-            }
-            let disk_faults = DiskFaultPlan::parse(disk_faults_spec.as_deref().unwrap_or("none"))
-                .map_err(|e| err(format!("--disk-faults: {e}")))?
-                .with_seed(disk_fault_seed);
-            if !disk_faults.is_none() && checkpoint_dir.is_none() {
-                return Err(err("--disk-faults requires --checkpoint DIR"));
             }
             Ok(Command::Watch {
                 seed,
@@ -512,9 +480,71 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 brands,
                 threads,
                 stop_after,
-                checkpoint_dir,
-                resume,
-                disk_faults,
+                checkpoint: checkpoint.finish()?,
+                json,
+                timings,
+            })
+        }
+        "repro" => {
+            let mut ids = Vec::new();
+            let mut list = false;
+            let mut scale = 100;
+            let mut threads = None;
+            let (mut faults, mut fault_seed) = (None, None);
+            let mut fail_fast = false;
+            let mut stop_after = None;
+            let mut checkpoint = CheckpointFlags::default();
+            let (mut json, mut timings) = (false, false);
+            while let Some(arg) = a.next() {
+                match arg {
+                    "--list" => list = true,
+                    "--scale" => scale = a.positive(arg)?,
+                    "--threads" => threads = Some(a.positive(arg)?),
+                    "--faults" => faults = Some(a.value(arg, "a plan spec")?),
+                    "--fault-seed" => fault_seed = Some(a.parsed(arg, "an integer")?),
+                    "--fail-fast" => fail_fast = true,
+                    "--stop-after" => {
+                        let stage = a.value(arg, "a stage name")?;
+                        stop_after = Some(PipelineStage::parse(stage).ok_or_else(|| {
+                            err("--stop-after expects scan, crawl, train or detect")
+                        })?);
+                    }
+                    "--json" => json = true,
+                    "--timings" => timings = true,
+                    "all" => ids = EXPERIMENT_IDS.iter().map(|id| id.to_string()).collect(),
+                    id if EXPERIMENT_IDS.contains(&id) => ids.push(id.to_string()),
+                    other if checkpoint.accept(other, &mut a)? => {}
+                    other => {
+                        return Err(err(format!(
+                            "unknown argument {other:?} (use --list to see experiment ids)"
+                        )))
+                    }
+                }
+            }
+            let seeded = fault_seed.is_some();
+            requires(seeded, faults.is_some(), "--fault-seed", "--faults")?;
+            let faults = PipelineFaultPlan::parse(faults.unwrap_or("none"))
+                .map_err(|e| err(format!("--faults: {e}")))?
+                .with_seed(fault_seed.unwrap_or(0));
+            let checkpoint = checkpoint.finish()?;
+            if json && !ids.is_empty() {
+                return Err(err(
+                    "--json prints the run summary in place of the experiment reports; \
+                     drop the experiment ids",
+                ));
+            }
+            if !list && ids.is_empty() && !json && stop_after.is_none() {
+                return Err(err("nothing to run: pass experiment ids or `all`"));
+            }
+            Ok(Command::Repro {
+                ids,
+                list,
+                scale,
+                threads,
+                faults,
+                fail_fast,
+                stop_after,
+                checkpoint,
                 json,
                 timings,
             })
@@ -624,6 +654,8 @@ mod tests {
             }
         );
         assert!(parse_args(&args("scan --type Combo")).is_err());
+        // Zero workers is a usage error on every subcommand.
+        assert!(parse_args(&args("scan zone.txt --threads 0")).is_err());
     }
 
     #[test]
@@ -738,9 +770,7 @@ mod tests {
                 brands: 40,
                 threads: 4,
                 stop_after: None,
-                checkpoint_dir: None,
-                resume: false,
-                disk_faults: DiskFaultPlan::none(),
+                checkpoint: CheckpointArgs::default(),
                 json: false,
                 timings: false
             }
@@ -757,9 +787,11 @@ mod tests {
                 brands: 12,
                 threads: 2,
                 stop_after: Some(100),
-                checkpoint_dir: Some("ckpt".into()),
-                resume: true,
-                disk_faults: DiskFaultPlan::none(),
+                checkpoint: CheckpointArgs {
+                    dir: Some("ckpt".into()),
+                    resume: true,
+                    disk_faults: DiskFaultPlan::none(),
+                },
                 json: true,
                 timings: true
             }
@@ -777,11 +809,11 @@ mod tests {
              --disk-fault-seed 9",
         ))
         .unwrap();
-        let Command::Watch { disk_faults, .. } = cmd else {
+        let Command::Watch { checkpoint, .. } = cmd else {
             panic!("parsed a non-watch command");
         };
         assert_eq!(
-            disk_faults,
+            checkpoint.disk_faults,
             DiskFaultPlan::parse("torn-at-byte-60,crash-at-write-2")
                 .unwrap()
                 .with_seed(9)
@@ -793,6 +825,91 @@ mod tests {
         assert!(parse_args(&args("watch --disk-faults torn-at-byte-60")).is_err());
         assert!(parse_args(&args("watch --disk-faults")).is_err());
         assert!(parse_args(&args("watch --disk-fault-seed x")).is_err());
+        // A seed without the plan it seeds would be silently ignored.
+        let e = parse_args(&args("watch --checkpoint ckpt --disk-fault-seed 5")).unwrap_err();
+        assert!(
+            e.0.contains("--disk-fault-seed requires --disk-faults"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn parses_repro() {
+        let all: Vec<String> = EXPERIMENT_IDS.iter().map(|id| id.to_string()).collect();
+        assert_eq!(
+            parse_args(&args("repro table7 fig10")).unwrap(),
+            Command::Repro {
+                ids: vec!["table7".into(), "fig10".into()],
+                list: false,
+                scale: 100,
+                threads: None,
+                faults: PipelineFaultPlan::none(),
+                fail_fast: false,
+                stop_after: None,
+                checkpoint: CheckpointArgs::default(),
+                json: false,
+                timings: false
+            }
+        );
+        assert_eq!(
+            parse_args(&args(
+                "repro --scale 400 --threads 2 --faults panic-permille-60 --fault-seed 3 \
+                 --fail-fast --stop-after crawl --checkpoint ckpt --resume \
+                 --disk-faults crash-at-write-2 --disk-fault-seed 9 all"
+            ))
+            .unwrap(),
+            Command::Repro {
+                ids: all.clone(),
+                list: false,
+                scale: 400,
+                threads: Some(2),
+                faults: PipelineFaultPlan::parse("panic-permille-60")
+                    .unwrap()
+                    .with_seed(3),
+                fail_fast: true,
+                stop_after: Some(PipelineStage::Crawl),
+                checkpoint: CheckpointArgs {
+                    dir: Some("ckpt".into()),
+                    resume: true,
+                    disk_faults: DiskFaultPlan::parse("crash-at-write-2")
+                        .unwrap()
+                        .with_seed(9),
+                },
+                json: false,
+                timings: false
+            }
+        );
+        let Command::Repro { ids, .. } = parse_args(&args("repro all table1")).unwrap() else {
+            panic!("parsed a non-repro command");
+        };
+        assert_eq!(ids.len(), all.len() + 1);
+        // --list, --json and --stop-after each stand without experiment ids.
+        let Command::Repro { list, .. } = parse_args(&args("repro --list")).unwrap() else {
+            panic!("parsed a non-repro command");
+        };
+        assert!(list);
+        assert!(parse_args(&args("repro --json --timings")).is_ok());
+        assert!(parse_args(&args("repro --stop-after scan")).is_ok());
+        let rejected = [
+            "repro",
+            "repro --scale 0",
+            "repro --scale x all",
+            "repro --threads 0 all",
+            "repro --stop-after render all",
+            "repro table99",
+            "repro --resume all",
+            "repro --disk-faults crash-at-write-1 all",
+            "repro --faults melt-permille-5 all",
+            // A seed without its plan would have nothing to seed.
+            "repro --fault-seed 5 all",
+            "repro --checkpoint ckpt --disk-fault-seed 5 all",
+            // --json replaces the reports, so ids with it would be dropped.
+            "repro --json all",
+            "repro --json table7",
+        ];
+        for line in rejected {
+            assert!(parse_args(&args(line)).is_err(), "{line}");
+        }
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Subcommand implementations. Every function writes its report into a
 //! `String` so tests can assert on output without process spawning.
 
-use crate::cli::Command;
-use squatphi::{DiskFaultPlan, FeatureExtractor, SquatPhi, WatchConfig, WatchOptions};
+use crate::cli::{CheckpointArgs, Command};
+use squatphi::{FeatureExtractor, RunOptions, SimConfig, SquatPhi, WatchConfig, WatchOptions};
 use squatphi_crawler::{
     crawl_all, CircuitBreakerPolicy, CrawlConfig, CrawlOutcome, DeadlinePolicy, FaultPlan,
     InProcessTransport, RetryPolicy, TransportStack,
 };
 use squatphi_dnsdb::{scan_with_metrics, RecordStore};
 use squatphi_domain::{idna, DomainName};
+use squatphi_experiments::summary::RunSummary;
+use squatphi_experiments::{run_experiment, EXPERIMENT_IDS};
 use squatphi_feeds::{FeedConfig, GroundTruthFeed};
 use squatphi_ml::Classifier;
 use squatphi_squat::gen::{generate_all, GenBudget};
@@ -55,9 +57,7 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             brands,
             threads,
             stop_after,
-            checkpoint_dir,
-            resume,
-            disk_faults,
+            checkpoint,
             json,
             timings,
         } => watch(
@@ -66,13 +66,124 @@ pub fn run(cmd: &Command) -> Result<String, String> {
             *brands,
             *threads,
             *stop_after,
-            checkpoint_dir.as_deref(),
-            *resume,
-            *disk_faults,
+            checkpoint,
             *json,
             *timings,
         ),
+        Command::Repro { list: true, .. } => {
+            Ok(EXPERIMENT_IDS.iter().map(|id| format!("{id}\n")).collect())
+        }
+        Command::Repro {
+            ids,
+            list: false,
+            scale,
+            threads,
+            faults,
+            fail_fast,
+            stop_after,
+            checkpoint,
+            json,
+            timings,
+        } => {
+            let mut config = SimConfig::paper_scale(*scale);
+            if let Some(n) = threads {
+                config.threads = *n;
+            }
+            let opts = RunOptions {
+                checkpoint_dir: checkpoint.dir.as_ref().map(PathBuf::from),
+                resume: checkpoint.resume,
+                fail_fast: *fail_fast,
+                faults: *faults,
+                stop_after: *stop_after,
+                disk_faults: checkpoint.disk_faults,
+                ..RunOptions::default()
+            };
+            repro(ids, *scale, &config, &opts, *json, *timings)
+        }
     }
+}
+
+/// Runs the whole pipeline, then returns the named experiments' reports,
+/// or with `json` the run summary. Progress lines go to stderr. A
+/// requested `--stop-after` interruption is a success with no report:
+/// the checkpoints for every completed stage are on disk.
+fn repro(
+    ids: &[String],
+    scale: usize,
+    config: &SimConfig,
+    opts: &RunOptions,
+    json: bool,
+    timings: bool,
+) -> Result<String, String> {
+    eprintln!("[repro] running pipeline at 1/{scale} haystack scale …");
+    let started = std::time::Instant::now();
+    let result = match SquatPhi::try_run(config, opts) {
+        Ok(result) => result,
+        Err(e) if e.is_interrupted() && opts.stop_after.is_some() => {
+            eprintln!(
+                "[repro] stopped after the {} stage as requested ({:.1}s)",
+                e.stage,
+                started.elapsed().as_secs_f64(),
+            );
+            return Ok(String::new());
+        }
+        Err(e) => return Err(format!("pipeline failed: {e}")),
+    };
+    eprintln!(
+        "[repro] pipeline done in {:.1}s: {} DNS records scanned, {} squatting domains, {} confirmed phishing domains",
+        started.elapsed().as_secs_f64(),
+        result.scan.scanned,
+        result.scan.total_matches(),
+        result.confirmed_domains().len(),
+    );
+    let t = &result.timings;
+    eprintln!(
+        "[repro] stage timings: scan {:.2}s, crawl {:.2}s, train {:.2}s, detect {:.2}s (total {:.2}s)",
+        t.scan.as_secs_f64(),
+        t.crawl.as_secs_f64(),
+        t.train.as_secs_f64(),
+        t.detect.as_secs_f64(),
+        t.total().as_secs_f64(),
+    );
+    eprintln!(
+        "[repro] crawl transport: {}",
+        result.crawl_stats.transport.report_line()
+    );
+    eprintln!("[repro] page analysis: {}", result.analysis.report_line());
+    eprintln!("[repro] supervision: {}", result.supervision.report_line());
+    if opts.checkpoint_dir.is_some() {
+        eprintln!("[repro] durability: {}", result.durability.report_line());
+    }
+    eprintln!(
+        "[repro] training set: {} phishing / {} benign",
+        result.train_split.0, result.train_split.1
+    );
+    let m = &result.scan_metrics;
+    eprintln!(
+        "[repro] scan: {:.0} records/s over {}/{} workers, {} probes ({} past filter), {} allocations avoided, {} dedupe collisions",
+        m.records_per_sec(),
+        m.actual_workers(),
+        m.requested_workers,
+        m.probes(),
+        m.deep_probes(),
+        m.allocations_avoided(),
+        m.dedupe_collisions,
+    );
+
+    if json {
+        let mut summary = RunSummary::collect(&result);
+        if !timings {
+            summary.strip_timings();
+        }
+        return Ok(summary.to_json_pretty() + "\n");
+    }
+    let mut out = String::new();
+    for id in ids {
+        let text = run_experiment(id, &result).ok_or_else(|| format!("unknown experiment {id}"))?;
+        out.push_str(&text);
+        out.push('\n');
+    }
+    Ok(out)
 }
 
 /// Runs the streaming watch daemon. An interrupted (`--stop-after`) run
@@ -86,9 +197,7 @@ fn watch(
     brands: usize,
     threads: usize,
     stop_after: Option<u64>,
-    checkpoint_dir: Option<&str>,
-    resume: bool,
-    disk_faults: DiskFaultPlan,
+    checkpoint: &CheckpointArgs,
     json: bool,
     timings: bool,
 ) -> Result<String, String> {
@@ -100,10 +209,10 @@ fn watch(
         .build()
         .map_err(|e| e.to_string())?;
     let opts = WatchOptions {
-        checkpoint_dir: checkpoint_dir.map(PathBuf::from),
-        resume,
+        checkpoint_dir: checkpoint.dir.as_ref().map(PathBuf::from),
+        resume: checkpoint.resume,
         stop_after,
-        disk_faults,
+        disk_faults: checkpoint.disk_faults,
     };
     let summary = SquatPhi::try_watch(&config, &opts).map_err(|e| e.to_string())?;
     if json {
@@ -124,7 +233,7 @@ fn watch(
         }
     );
     let _ = writeln!(out, "  {}", summary.report_line());
-    if checkpoint_dir.is_some() {
+    if checkpoint.dir.is_some() {
         let _ = writeln!(out, "  durability: {}", summary.durability.report_line());
     }
     if let Some(detail) = &summary.recovered_checkpoint {
@@ -558,6 +667,7 @@ fn truncate(s: &str, max: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use squatphi::DiskFaultPlan;
 
     #[test]
     fn gen_lists_candidates() {
@@ -743,9 +853,7 @@ mod tests {
             brands: 12,
             threads: 2,
             stop_after: None,
-            checkpoint_dir: None,
-            resume: false,
-            disk_faults: DiskFaultPlan::none(),
+            checkpoint: CheckpointArgs::default(),
             json,
             timings: false,
         };
@@ -764,15 +872,17 @@ mod tests {
     fn watch_stop_after_then_resume_matches_full_run() {
         let dir = std::env::temp_dir().join(format!("squatphi-cli-watch-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let base = |stop_after, checkpoint_dir, resume| Command::Watch {
+        let base = |stop_after, dir, resume| Command::Watch {
             seed: 11,
             events: 200,
             brands: 12,
             threads: 2,
             stop_after,
-            checkpoint_dir,
-            resume,
-            disk_faults: DiskFaultPlan::none(),
+            checkpoint: CheckpointArgs {
+                dir,
+                resume,
+                ..CheckpointArgs::default()
+            },
             json: true,
             timings: false,
         };
@@ -801,9 +911,11 @@ mod tests {
             brands: 12,
             threads: 2,
             stop_after: (!resume).then_some(80),
-            checkpoint_dir: Some(dir.to_string_lossy().into_owned()),
-            resume,
-            disk_faults,
+            checkpoint: CheckpointArgs {
+                dir: Some(dir.to_string_lossy().into_owned()),
+                resume,
+                disk_faults,
+            },
             json: true,
             timings: false,
         };

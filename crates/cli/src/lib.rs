@@ -11,4 +11,4 @@
 pub mod cli;
 pub mod commands;
 
-pub use cli::{parse_args, CliError, Command};
+pub use cli::{parse_args, CheckpointArgs, CliError, Command};

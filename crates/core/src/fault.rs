@@ -10,7 +10,8 @@
 //! any worker count, and the supervision report can reconcile injected
 //! counts against quarantined/degraded/recovered outcomes exactly.
 //!
-//! Plans parse from the `repro --faults` grammar: a comma-separated list
+//! Plans parse from the `squatphi repro --faults` grammar (seeded by
+//! `--fault-seed`, which requires `--faults`): a comma-separated list
 //! of `CLASS-permille-P` clauses (`P` in 0..=1000), e.g.
 //! `panic-permille-60,poison-permille-50`. `none` is the empty plan.
 

@@ -1,5 +1,5 @@
 //! Experiment regeneration library: one function per table/figure of the
-//! paper's evaluation. The `repro` binary dispatches to these; tests call
+//! paper's evaluation. `squatphi repro` dispatches to these; tests call
 //! them directly on a tiny pipeline run.
 
 #![forbid(unsafe_code)]

@@ -1,4 +1,5 @@
-//! Machine-readable run summary (serialized by `repro --json`).
+//! Machine-readable run summary (`squatphi repro --json` prints it to
+//! stdout).
 //!
 //! The summary is a typed view over the pipeline's exported telemetry:
 //! [`RunSummary::collect`] reads the migrated stage counters back from
@@ -7,7 +8,8 @@
 //! numbers (models, detections, blacklist coverage) from the result
 //! directly. JSON emission goes through the shared
 //! [`squatphi_telemetry::Json`] encoder; timing fields are stripped by
-//! the one telemetry-layer rule unless `repro --timings` asked for them.
+//! the one telemetry-layer rule unless `squatphi repro --timings` asked
+//! for them.
 
 use squatphi::analysis;
 use squatphi::artifact::AnalysisSnapshot;
@@ -211,7 +213,7 @@ impl RunSummary {
     /// Zeroes the wall-clock-dependent counters via the telemetry layer's
     /// timing rule — the same rule every CLI surface applies — so two
     /// runs of the same config serialize byte-identically. Counts (pages,
-    /// hits, misses) are untouched. `repro` calls this unless `--timings`
+    /// hits, misses) are untouched. `squatphi repro` calls this unless `--timings`
     /// is passed.
     pub fn strip_timings(&mut self) {
         let reg = Registry::new();

@@ -89,3 +89,20 @@ fn errors_are_reported_not_panicked() {
     assert!(run_line("gen notabrandatall").is_err());
     assert!(run_line("bogus-subcommand").is_err());
 }
+
+#[test]
+fn repro_list_round_trip() {
+    let out = run_line("repro --list").expect("runs");
+    let ids: Vec<&str> = out.lines().collect();
+    assert_eq!(ids.first(), Some(&"table1"), "{out}");
+    assert!(ids.contains(&"fig17") && ids.contains(&"table13"), "{out}");
+}
+
+#[test]
+fn repro_stop_after_scan_round_trip() {
+    // A requested interruption is a success with an empty report.
+    let out = run_line("repro --scale 4000 --threads 1 --stop-after scan").expect("runs");
+    assert_eq!(out, "");
+    let err = run_line("repro --scale 4000 --json table7").unwrap_err();
+    assert!(err.contains("--json"), "{err}");
+}
